@@ -50,25 +50,6 @@ impl ControlPlane {
         }
     }
 
-    /// Writes element `idx` of a source-level switch array through the
-    /// lane decomposition.
-    pub fn write_register(
-        &self,
-        pipe: &mut Pipeline,
-        array: &str,
-        idx: usize,
-        value: Value,
-    ) -> bool {
-        match self.lane_banks.get(array) {
-            Some(banks) if banks.len() > 1 => {
-                let lane = idx % banks.len();
-                pipe.register_write(&banks[lane], idx / banks.len(), value)
-            }
-            Some(banks) => pipe.register_write(&banks[0], idx, value),
-            None => pipe.register_write(array, idx, value),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Direct (pre-run) operations
     // ------------------------------------------------------------------

@@ -4,18 +4,20 @@
 //! physical network and allocates network resources accordingly is
 //! assumed to be in place. This mechanism places application components
 //! to physical devices and ensures connectivity by populating routing
-//! tables appropriately."* — [`deploy`] is that mechanism for the
+//! tables appropriately."* — [`deploy_opts`] is that mechanism for the
 //! simulated testbed: the identity mapping (one physical node per
 //! overlay node, one link per overlay edge), each switch loaded with its
 //! compiled pipeline, `_bcast()` fan-out and `_pass(label)` targets
-//! resolved from the overlay.
+//! resolved from the overlay. Multi-tenant fabrics
+//! ([`crate::tenants::deploy_tenants`]) go through the same fabric
+//! builder and deploy-time lint gate.
 
 use crate::fastpath::FastPathSwitch;
 use crate::interp_switch::InterpSwitch;
 use crate::mc::{model_check_switch, McConfig, McReport};
 use crate::nclc::CompiledProgram;
 use c3::{HostId, Label, NodeId, SwitchId};
-use ncl_and::AndKind;
+use ncl_and::{AndKind, AndNode, Overlay};
 use nctel::{Registry, Scope, ScopeEvent, SnapshotReason, WindowKey};
 use netsim::{
     FastDatapath, HostApp, KernelTelemetry, LinkSpec, Network, NetworkBuilder, SwitchCfg,
@@ -25,8 +27,8 @@ use pisa::{Pipeline, ResourceModel};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Which switch engine [`deploy_with`] loads into the simulated
-/// switches.
+/// Which switch engine [`deploy_opts`] loads into the simulated
+/// switches ([`DeployOptions::backend`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SwitchBackend {
     /// The modeled PISA pipeline (resource-checked, recirculation-aware)
@@ -155,39 +157,9 @@ impl std::fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
-/// Deploys a compiled program: `apps` supplies one application per AND
-/// host label; every link uses `link_spec`. Switches run the modeled
-/// PISA pipeline; see [`deploy_with`] to pick the backend.
-pub fn deploy(
-    program: &CompiledProgram,
-    apps: HashMap<String, Box<dyn HostApp>>,
-    link_spec: LinkSpec,
-    model: ResourceModel,
-) -> Result<Deployment, DeployError> {
-    deploy_with(program, apps, link_spec, model, SwitchBackend::Pisa)
-}
-
-/// [`deploy`] with an explicit switch engine.
-pub fn deploy_with(
-    program: &CompiledProgram,
-    apps: HashMap<String, Box<dyn HostApp>>,
-    link_spec: LinkSpec,
-    model: ResourceModel,
-    backend: SwitchBackend,
-) -> Result<Deployment, DeployError> {
-    deploy_full(
-        program,
-        apps,
-        link_spec,
-        model,
-        backend,
-        Arc::new(Registry::new()),
-    )
-}
-
-/// Full deployment configuration for [`deploy_opts`] — the options the
-/// positional [`deploy`]/[`deploy_with`]/[`deploy_full`] entry points
-/// fix at their defaults.
+/// Deployment configuration for [`deploy_opts`] and
+/// [`crate::tenants::deploy_tenants`]; `..DeployOptions::default()`
+/// fills in every option a caller does not set.
 pub struct DeployOptions {
     /// Link parameters applied to every overlay edge (unless
     /// overridden).
@@ -200,7 +172,10 @@ pub struct DeployOptions {
     pub link_overrides: Vec<(String, String, LinkSpec)>,
     /// Switch engine.
     pub backend: SwitchBackend,
-    /// Metrics registry shared with the caller.
+    /// Metrics registry shared with the caller: the simulator's
+    /// counters and the deploy gate outcomes (`deploy.hosts_loaded`,
+    /// `deploy.switches_loaded`, `deploy.lint_denied`) all land here,
+    /// and [`Network::metrics`] exposes it after the build.
     pub registry: Arc<Registry>,
     /// ncscope event sink, wired into the network (link drops, switch
     /// executions) and notified on deploy-time lint denials.
@@ -213,6 +188,8 @@ pub struct DeployOptions {
     /// [`Deployment::mc_reports`]) and a convergence *witness* refuses
     /// the deployment with [`DeployError::ModelCheck`] — the static
     /// gate stops hazardous code, this one stops divergent code.
+    /// Single-program only: [`crate::tenants::deploy_tenants`] refuses
+    /// it with [`crate::tenants::MultiDeployError::UnsupportedOption`].
     pub model_check: Option<McConfig>,
 }
 
@@ -293,42 +270,36 @@ pub fn deployed_versions(program: &CompiledProgram) -> BTreeMap<(u16, u16), u16>
             continue;
         }
         let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-        let tel = switch_telemetry(program, n.label.as_str(), wire);
-        for (kernel, kt) in tel.kernels {
+        let label = n.label.as_str();
+        for (kernel, kt) in kernel_telemetry(program, label, module_version(program, label)) {
             out.insert((wire, kernel), kt.version);
         }
     }
     out
 }
 
-/// Deploy-time telemetry identity for one switch: the static hop-record
-/// fields every execution tier stamps identically — kernel `version`
-/// (the 1-based index of the location's versioned module), PISA
+/// The version a single-program deployment stamps on the kernels at
+/// `label`: the 1-based index of the location's versioned module (0
+/// when the location has none).
+fn module_version(program: &CompiledProgram, label: &str) -> u16 {
+    program
+        .modules
+        .iter()
+        .position(|(l, _)| l.as_str() == label)
+        .map(|i| i as u16 + 1)
+        .unwrap_or(0)
+}
+
+/// Deploy-time telemetry identity for one program's module at `label`:
+/// the static hop-record fields every execution tier stamps identically
+/// — the kernel `version` (explicit, because multi-tenant deployments
+/// use ncsched-assigned versions instead of [`module_version`]), PISA
 /// `stages` from the backend's resource report, and the kernel's
 /// interpreter-equivalent step count (`uops`), all fixed at deploy
 /// time. `uops` deliberately counts interpreter steps, not physical
 /// micro-ops: fused vector runs cover many steps in one op and the
 /// ncvec SIMD tier covers them in a handful of lane iterations, so the
 /// step count is the only number every tier can report identically.
-fn switch_telemetry(program: &CompiledProgram, label: &str, wire: u16) -> SwitchTelemetry {
-    let version = program
-        .modules
-        .iter()
-        .position(|(l, _)| l.as_str() == label)
-        .map(|i| i as u16 + 1)
-        .unwrap_or(0);
-    SwitchTelemetry {
-        switch_id: wire,
-        kernels: kernel_telemetry(program, label, version)
-            .into_iter()
-            .collect(),
-    }
-}
-
-/// The per-kernel static hop-record fields of one program's module at
-/// `label`, stamped with an explicit `version` — multi-tenant
-/// deployments use ncsched-assigned versions instead of the module
-/// index ([`crate::tenants`]).
 pub(crate) fn kernel_telemetry(
     program: &CompiledProgram,
     label: &str,
@@ -356,35 +327,10 @@ pub(crate) fn kernel_telemetry(
     kernels
 }
 
-/// [`deploy_with`] sharing the caller's metrics registry: the
-/// simulator's counters and the deploy gate outcomes
-/// (`deploy.hosts_loaded`, `deploy.switches_loaded`,
-/// `deploy.lint_denied`) all land on `registry`, which
-/// [`Network::metrics`] exposes after the build.
-pub fn deploy_full(
-    program: &CompiledProgram,
-    apps: HashMap<String, Box<dyn HostApp>>,
-    link_spec: LinkSpec,
-    model: ResourceModel,
-    backend: SwitchBackend,
-    registry: Arc<Registry>,
-) -> Result<Deployment, DeployError> {
-    deploy_opts(
-        program,
-        apps,
-        DeployOptions {
-            link_spec,
-            backend,
-            registry,
-            model,
-            ..DeployOptions::default()
-        },
-    )
-}
-
-/// The fully-optioned deployment entry point: everything
-/// [`deploy_full`] does, plus per-link overrides and ncscope wiring
-/// (see [`DeployOptions`]). A lint denial emits a `LintDenied` event
+/// Deploys a compiled program: `apps` supplies one application per AND
+/// host label, and every switch runs `opts.backend` loaded with its
+/// module (see [`DeployOptions`] for links, metrics, ncscope wiring
+/// and the model-check gate). A lint denial emits a `LintDenied` event
 /// and snapshots the scope's flight recorder before returning the
 /// error, so the refusal is diagnosable from the artifact alone.
 pub fn deploy_opts(
@@ -392,185 +338,236 @@ pub fn deploy_opts(
     mut apps: HashMap<String, Box<dyn HostApp>>,
     opts: DeployOptions,
 ) -> Result<Deployment, DeployError> {
-    let DeployOptions {
-        link_spec,
-        link_overrides,
-        backend,
-        registry,
-        scope,
-        model,
-        model_check,
-    } = opts;
-    let hosts_loaded = registry.counter("deploy.hosts_loaded");
-    let switches_loaded = registry.counter("deploy.switches_loaded");
-    let lint_denied = registry.counter("deploy.lint_denied");
+    let registry = &opts.registry;
+    // Gate tallies read zero on a clean single-program deployment.
+    registry.counter("deploy.lint_denied");
     let mc_checked = registry.counter("deploy.mc_checked");
     let mc_denied = registry.counter("deploy.mc_denied");
     let mut mc_reports = Vec::new();
-    let mut b = NetworkBuilder::new();
-    b.with_metrics(registry.clone());
-    if let Some(scope) = &scope {
-        b.with_scope(scope);
-    }
-    let mut nodes: HashMap<Label, NodeId> = HashMap::new();
-
-    // Nodes in AND declaration order so netsim ids equal AND ids.
-    for n in &program.overlay.nodes {
-        match n.kind {
-            AndKind::Host => {
-                let app = apps
-                    .remove(n.label.as_str())
-                    .ok_or_else(|| DeployError::MissingApp {
-                        label: n.label.to_string(),
+    let (net, nodes) = build_fabric(
+        &program.overlay,
+        &opts,
+        |n| {
+            apps.remove(n.label.as_str())
+                .ok_or_else(|| DeployError::MissingApp {
+                    label: n.label.to_string(),
+                })
+        },
+        |n| {
+            let label = n.label.as_str();
+            let version = module_version(program, label);
+            lint_gate(program, n, version, registry, opts.scope.as_ref())?;
+            // Model-check gate: adjudicate every schedule-checkable
+            // lint warning and the convergence obligation against the
+            // compiled pipeline. A convergence witness means a concrete
+            // fault schedule computes a wrong answer — the deployment
+            // is refused with the schedule in hand.
+            if let Some(mc_cfg) = &opts.model_check {
+                let report =
+                    model_check_switch(program, label, mc_cfg).map_err(|e| DeployError::Load {
+                        label: label.to_string(),
+                        error: e.to_string(),
                     })?;
-                let id = b.add_host(app);
-                hosts_loaded.inc();
-                debug_assert_eq!(id, HostId(n.id), "AND/netsim host id agreement");
-                nodes.insert(n.label.clone(), NodeId::Host(id));
-            }
-            AndKind::Switch => {
-                // Lint gate: a module carrying denied hazards never
-                // reaches a simulated switch, whichever engine runs it.
-                if let Some(module) = program.module(n.label.as_str()) {
-                    let diags = ncl_ir::lint::lint_module(module, &program.lint_config);
-                    let (deny, _) = ncl_ir::lint::partition(diags);
-                    if !deny.is_empty() {
-                        lint_denied.inc();
-                        if let Some(scope) = &scope {
-                            let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-                            scope.emit(
-                                0,
-                                wire,
-                                WindowKey::new(0, 0, 0),
-                                ScopeEvent::LintDenied { switch: wire },
-                            );
-                            scope.flight_record(
-                                SnapshotReason::LintDenied,
-                                0,
-                                Some(&registry),
-                                &[],
-                            );
-                        }
-                        let mut kernels: Vec<String> =
-                            deny.iter().map(|d| d.kernel.clone()).collect();
-                        kernels.sort();
-                        kernels.dedup();
-                        let version = program
-                            .modules
-                            .iter()
-                            .position(|(l, _)| l.as_str() == n.label.as_str())
-                            .map(|i| i as u16 + 1)
-                            .unwrap_or(0);
-                        return Err(DeployError::Lint {
-                            label: n.label.to_string(),
-                            kernels,
-                            version,
-                            diagnostics: deny,
+                mc_checked.inc();
+                if let Some(conv) = report.convergence() {
+                    if let ncmc::Outcome::Witness(w) = &conv.result.outcome {
+                        mc_denied.inc();
+                        return Err(DeployError::ModelCheck {
+                            label: label.to_string(),
+                            kernel: conv.kernel.clone(),
+                            schedule: w.schedule.render(),
                         });
                     }
                 }
-                // Model-check gate: adjudicate every schedule-checkable
-                // lint warning and the convergence obligation against
-                // the compiled pipeline. A convergence witness means a
-                // concrete fault schedule computes a wrong answer — the
-                // deployment is refused with the schedule in hand.
-                if let Some(mc_cfg) = &model_check {
-                    let report =
-                        model_check_switch(program, n.label.as_str(), mc_cfg).map_err(|e| {
-                            DeployError::Load {
-                                label: n.label.to_string(),
-                                error: e.to_string(),
-                            }
-                        })?;
-                    mc_checked.inc();
-                    if let Some(conv) = report.convergence() {
-                        if let ncmc::Outcome::Witness(w) = &conv.result.outcome {
-                            mc_denied.inc();
-                            return Err(DeployError::ModelCheck {
-                                label: n.label.to_string(),
-                                kernel: conv.kernel.clone(),
-                                schedule: w.schedule.render(),
-                            });
+                mc_reports.push(report);
+            }
+            // A software tier replaces the pipeline wholesale: one
+            // engine per switch, never both.
+            let pipeline = match program.switch(label) {
+                Some(c) if opts.backend == SwitchBackend::Pisa => {
+                    Some(Pipeline::load(c.pipeline.clone(), opts.model).map_err(|e| {
+                        DeployError::Load {
+                            label: label.to_string(),
+                            error: e.to_string(),
                         }
-                    }
-                    mc_reports.push(report);
+                    })?)
                 }
-                let compiled = program.switch(n.label.as_str());
-                // The fast path replaces the pipeline wholesale: one
-                // engine per switch, never both.
-                let fastpath: Option<Box<dyn FastDatapath>> = match backend {
-                    SwitchBackend::FastPath => {
-                        FastPathSwitch::from_program_with(program, n.label.as_str(), false)
-                            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>)
-                    }
-                    SwitchBackend::Simd => {
-                        FastPathSwitch::from_program_with(program, n.label.as_str(), true)
-                            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>)
-                    }
-                    SwitchBackend::Interp => InterpSwitch::from_program(program, n.label.as_str())
-                        .map(|it| Box::new(it) as Box<dyn FastDatapath>),
-                    SwitchBackend::Pisa => None,
-                };
-                let pipeline = match (backend, compiled) {
-                    (SwitchBackend::Pisa, Some(c)) => {
-                        Some(Pipeline::load(c.pipeline.clone(), model).map_err(|e| {
-                            DeployError::Load {
-                                label: n.label.to_string(),
-                                error: e.to_string(),
-                            }
-                        })?)
-                    }
-                    _ => None,
-                };
-                // `_pass(label)` targets: every labelled node.
-                let labels: HashMap<u16, NodeId> = program
-                    .label_ids
-                    .iter()
-                    .map(|(_, &wire)| (wire, NodeId::from_wire(wire)))
-                    .collect();
-                // `_bcast()`: overlay neighbours of this switch.
-                let bcast: Vec<NodeId> = program
-                    .overlay
-                    .neighbours(n.label.as_str())
-                    .iter()
-                    .map(|peer| match peer.kind {
-                        AndKind::Host => NodeId::Host(HostId(peer.id)),
-                        AndKind::Switch => NodeId::Switch(SwitchId(peer.id)),
-                    })
-                    .collect();
-                let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-                let telemetry = Some(switch_telemetry(program, n.label.as_str(), wire));
+                _ => None,
+            };
+            Ok(SwitchEngine {
+                pipeline,
+                fastpath: backend_datapath(opts.backend, program, label),
+                kernels: Some(
+                    kernel_telemetry(program, label, version)
+                        .into_iter()
+                        .collect(),
+                ),
+            })
+        },
+    )?;
+    Ok(Deployment {
+        net,
+        nodes,
+        mc_reports,
+    })
+}
+
+/// What one switch runs, as chosen by a caller of [`build_fabric`].
+pub(crate) struct SwitchEngine {
+    /// The modeled PISA pipeline ([`SwitchBackend::Pisa`] only).
+    pub pipeline: Option<Pipeline>,
+    /// A software datapath: one tier's executor, or a
+    /// [`crate::mux::TenantMux`] over several.
+    pub fastpath: Option<Box<dyn FastDatapath>>,
+    /// Deploy-time hop-record identity by kernel id; `None` disables
+    /// hop stamping.
+    pub kernels: Option<HashMap<u16, KernelTelemetry>>,
+}
+
+/// Maps `overlay` onto a simulated network — the one fabric builder
+/// behind [`deploy_opts`] and [`crate::tenants::deploy_tenants`].
+/// Nodes are added in AND declaration order so netsim ids equal AND
+/// ids; each host runs `host_app(node)` and each switch
+/// `switch_engine(node)`, with its `_pass(label)` targets, `_bcast()`
+/// neighbours and telemetry switch id filled in here. Links use
+/// `opts.link_spec` unless `opts.link_overrides` names the edge; the
+/// network shares `opts.registry` and `opts.scope`.
+pub(crate) fn build_fabric<E>(
+    overlay: &Overlay,
+    opts: &DeployOptions,
+    mut host_app: impl FnMut(&AndNode) -> Result<Box<dyn HostApp>, E>,
+    mut switch_engine: impl FnMut(&AndNode) -> Result<SwitchEngine, E>,
+) -> Result<(Network, HashMap<Label, NodeId>), E> {
+    let hosts_loaded = opts.registry.counter("deploy.hosts_loaded");
+    let switches_loaded = opts.registry.counter("deploy.switches_loaded");
+    let mut b = NetworkBuilder::new();
+    b.with_metrics(opts.registry.clone());
+    if let Some(scope) = &opts.scope {
+        b.with_scope(scope);
+    }
+    let node_id = |n: &AndNode| match n.kind {
+        AndKind::Host => NodeId::Host(HostId(n.id)),
+        AndKind::Switch => NodeId::Switch(SwitchId(n.id)),
+    };
+    // `_pass(label)` targets: every labelled node.
+    let labels: HashMap<u16, NodeId> = overlay
+        .nodes
+        .iter()
+        .map(|n| (node_id(n).to_wire(), node_id(n)))
+        .collect();
+    let mut nodes: HashMap<Label, NodeId> = HashMap::new();
+    for n in &overlay.nodes {
+        let id = match n.kind {
+            AndKind::Host => {
+                let id = b.add_host(host_app(n)?);
+                hosts_loaded.inc();
+                debug_assert_eq!(id, HostId(n.id), "AND/netsim host id agreement");
+                NodeId::Host(id)
+            }
+            AndKind::Switch => {
+                let engine = switch_engine(n)?;
                 let id = b.add_switch(SwitchCfg {
-                    pipeline,
-                    fastpath,
-                    labels,
-                    bcast,
-                    telemetry,
+                    pipeline: engine.pipeline,
+                    fastpath: engine.fastpath,
+                    labels: labels.clone(),
+                    // `_bcast()`: overlay neighbours of this switch.
+                    bcast: overlay
+                        .neighbours(n.label.as_str())
+                        .into_iter()
+                        .map(node_id)
+                        .collect(),
+                    telemetry: engine.kernels.map(|kernels| SwitchTelemetry {
+                        switch_id: node_id(n).to_wire(),
+                        kernels,
+                    }),
                     ..SwitchCfg::default()
                 });
                 switches_loaded.inc();
                 debug_assert_eq!(id, SwitchId(n.id), "AND/netsim switch id agreement");
-                nodes.insert(n.label.clone(), NodeId::Switch(id));
+                NodeId::Switch(id)
             }
-        }
+        };
+        nodes.insert(n.label.clone(), id);
     }
-    for &(a, bidx) in &program.overlay.edges {
-        let la = program.overlay.nodes[a].label.as_str();
-        let lb = program.overlay.nodes[bidx].label.as_str();
-        let na = nodes[&program.overlay.nodes[a].label];
-        let nb = nodes[&program.overlay.nodes[bidx].label];
-        let spec = link_overrides
+    for &(a, z) in &overlay.edges {
+        let (na, nz) = (&overlay.nodes[a], &overlay.nodes[z]);
+        let (la, lz) = (na.label.as_str(), nz.label.as_str());
+        let spec = opts
+            .link_overrides
             .iter()
-            .find(|(x, y, _)| (x == la && y == lb) || (x == lb && y == la))
+            .find(|(x, y, _)| (x == la && y == lz) || (x == lz && y == la))
             .map(|(_, _, s)| *s)
-            .unwrap_or(link_spec);
-        b.link(na, nb, spec);
+            .unwrap_or(opts.link_spec);
+        b.link(nodes[&na.label], nodes[&nz.label], spec);
     }
-    Ok(Deployment {
-        net: b.build(),
-        nodes,
-        mc_reports,
+    Ok((b.build(), nodes))
+}
+
+/// The deploy-time lint gate for one overlay node: a switch module
+/// carrying denied hazards never reaches a simulated switch, whichever
+/// engine runs it (hosts and module-less switches pass). The compiler
+/// already runs this gate; it re-runs here, with the program's own
+/// lint configuration, so a module assembled or altered by hand is
+/// caught too. A denial bumps `deploy.lint_denied`, emits a
+/// `LintDenied` scope event, snapshots the flight recorder and names
+/// the offending kernels and the refused `version`.
+pub(crate) fn lint_gate(
+    program: &CompiledProgram,
+    node: &AndNode,
+    version: u16,
+    registry: &Registry,
+    scope: Option<&Scope>,
+) -> Result<(), DeployError> {
+    if node.kind != AndKind::Switch {
+        return Ok(());
+    }
+    let Some(module) = program.module(node.label.as_str()) else {
+        return Ok(());
+    };
+    let diags = ncl_ir::lint::lint_module(module, &program.lint_config);
+    let (deny, _) = ncl_ir::lint::partition(diags);
+    if deny.is_empty() {
+        return Ok(());
+    }
+    registry.counter("deploy.lint_denied").inc();
+    if let Some(scope) = scope {
+        let wire = NodeId::Switch(SwitchId(node.id)).to_wire();
+        scope.emit(
+            0,
+            wire,
+            WindowKey::new(0, 0, 0),
+            ScopeEvent::LintDenied { switch: wire },
+        );
+        scope.flight_record(SnapshotReason::LintDenied, 0, Some(registry), &[]);
+    }
+    let mut kernels: Vec<String> = deny.iter().map(|d| d.kernel.clone()).collect();
+    kernels.sort();
+    kernels.dedup();
+    Err(DeployError::Lint {
+        label: node.label.to_string(),
+        kernels,
+        version,
+        diagnostics: deny,
     })
+}
+
+/// The software-tier datapath `backend` runs for the module at
+/// `label`; `None` under [`SwitchBackend::Pisa`] or when the label
+/// has no module in the program.
+pub(crate) fn backend_datapath(
+    backend: SwitchBackend,
+    program: &CompiledProgram,
+    label: &str,
+) -> Option<Box<dyn FastDatapath>> {
+    match backend {
+        SwitchBackend::FastPath => FastPathSwitch::from_program_with(program, label, false)
+            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
+        SwitchBackend::Simd => FastPathSwitch::from_program_with(program, label, true)
+            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
+        SwitchBackend::Interp => InterpSwitch::from_program(program, label)
+            .map(|it| Box::new(it) as Box<dyn FastDatapath>),
+        SwitchBackend::Pisa => None,
+    }
 }
 
 impl Deployment {
@@ -660,12 +657,13 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
             host.done_on_flag(kid, 1);
             apps.insert(format!("worker{w}"), Box::new(host));
         }
-        let mut dep = deploy_with(
+        let mut dep = deploy_opts(
             &program,
             apps,
-            LinkSpec::default(),
-            pisa::ResourceModel::default(),
-            backend,
+            DeployOptions {
+                backend,
+                ..DeployOptions::default()
+            },
         )
         .expect("deploys");
 
@@ -756,12 +754,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         for w in 1..=3u16 {
             apps.insert(format!("worker{w}"), Box::new(NclHost::new(&program)));
         }
-        match deploy(
-            &program,
-            apps,
-            LinkSpec::default(),
-            pisa::ResourceModel::default(),
-        ) {
+        match deploy_opts(&program, apps, DeployOptions::default()) {
             Err(DeployError::Lint {
                 label,
                 kernels,
@@ -791,12 +784,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         let program = compile(ALLREDUCE, AND, &cfg).unwrap();
         let apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
         assert!(matches!(
-            deploy(
-                &program,
-                apps,
-                LinkSpec::default(),
-                pisa::ResourceModel::default()
-            ),
+            deploy_opts(&program, apps, DeployOptions::default()),
             Err(DeployError::MissingApp { .. })
         ));
     }

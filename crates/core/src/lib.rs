@@ -15,7 +15,9 @@
 //! * [`control`] — the transparent control-plane interaction:
 //!   `ncl::ctrl_wr`, map management (NetCache-style inserts/evictions);
 //! * [`mod@deploy`] — maps the AND overlay onto a simulated network
-//!   (Fig. 3c) and loads every switch with its compiled pipeline;
+//!   (Fig. 3c) and loads every switch with its compiled pipeline:
+//!   [`deploy_opts`] deploys one program, [`deploy_tenants`] several
+//!   tenants on one shared fabric, both through one fabric builder;
 //! * [`fastpath`] — the compiled fast-path switch executor: versioned
 //!   IR lowered to linear micro-op programs, cached per
 //!   `(kernel, location)` and run allocation-free against persistent
@@ -61,8 +63,7 @@ pub mod watch;
 
 pub use control::ControlPlane;
 pub use deploy::{
-    and_switch_path, deploy, deploy_full, deploy_opts, deploy_with, deployed_versions,
-    DeployOptions, Deployment, SwitchBackend,
+    and_switch_path, deploy_opts, deployed_versions, DeployOptions, Deployment, SwitchBackend,
 };
 pub use fastpath::FastPathSwitch;
 pub use interp_switch::InterpSwitch;

@@ -97,14 +97,6 @@ impl TypedArray {
         }
     }
 
-    /// From raw bytes of `u8` elements.
-    pub fn from_u8(vals: &[u8]) -> Self {
-        TypedArray {
-            elem: ScalarType::U8,
-            bytes: vals.to_vec(),
-        }
-    }
-
     /// A single-value array (scalar window parameters).
     pub fn scalar(v: Value) -> Self {
         let mut bytes = vec![0u8; v.ty().size()];
@@ -248,7 +240,7 @@ pub type DonePredicate = Box<dyn Fn(&HashMap<u16, IncomingBinding>) -> bool>;
 /// The libncrt host application.
 ///
 /// Configure with [`NclHost::new`], add invocations and incoming
-/// bindings, hand it to [`crate::deploy::deploy`], and inspect its state
+/// bindings, hand it to [`crate::deploy_opts`], and inspect its state
 /// afterwards through [`netsim::Network::host_app`].
 pub struct NclHost {
     runtimes: HashMap<String, KernelRuntime>,
@@ -572,12 +564,6 @@ impl NclHost {
             .as_mut()
             .map(|t| t.take())
             .unwrap_or_default()
-    }
-
-    /// Traces evicted or unsampled since the ring was created (ring
-    /// overflow only — unsampled windows are never counted).
-    pub fn traces_dropped(&self) -> u64 {
-        self.telemetry.as_ref().map(|t| t.dropped()).unwrap_or(0)
     }
 
     /// The host's metrics registry: `host.*` window counters plus, when
@@ -973,15 +959,6 @@ pub fn invocation_packets(
 /// Finds a kernel in a module by name (any kind).
 pub fn module_kernel(module: &Module, name: &str) -> Option<KernelIr> {
     module.kernels.iter().find(|k| k.name == name).cloned()
-}
-
-/// Resolves an AND host label to its simulated node id. Host labels are
-/// assigned ids in declaration order, matching deployment.
-pub fn host_node(program: &CompiledProgram, label: &str) -> Option<NodeId> {
-    program.overlay.node(label).map(|n| match n.kind {
-        ncl_and::AndKind::Host => NodeId::Host(HostId(n.id)),
-        ncl_and::AndKind::Switch => NodeId::Switch(c3::SwitchId(n.id)),
-    })
 }
 
 #[cfg(test)]

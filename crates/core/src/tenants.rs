@@ -1,8 +1,9 @@
 //! Multi-tenant deployment: several compiled programs, one fabric.
 //!
 //! [`deploy_tenants`] is the shared-fabric counterpart of
-//! [`crate::deploy_opts`]: each tenant brings its own compiled program
-//! (with a private kernel-id range via
+//! [`crate::deploy_opts`], built by the same fabric builder and gated
+//! by the same deploy-time lint gate: each tenant brings its own
+//! compiled program (with a private kernel-id range via
 //! [`crate::nclc::CompileConfig::kernel_id_base`]) and its own host
 //! applications; the fabric — the AND overlay, identical across
 //! tenants — is built **once**, with every shared switch running a
@@ -30,11 +31,15 @@
 //! [`SwitchBackend::FastPath`], [`SwitchBackend::Simd`],
 //! [`SwitchBackend::Interp`]. The modeled PISA pipeline cannot host two
 //! independently compiled programs in one pipeline object, so
-//! [`SwitchBackend::Pisa`] is rejected up front.
+//! [`SwitchBackend::Pisa`] is rejected up front, as is
+//! [`DeployOptions::model_check`]: the model-check gate checks one
+//! program's pipelines, so single programs get it through
+//! [`crate::deploy_opts`].
 
-use crate::deploy::{kernel_telemetry, DeployError, DeployOptions, SwitchBackend};
-use crate::fastpath::FastPathSwitch;
-use crate::interp_switch::InterpSwitch;
+use crate::deploy::{
+    backend_datapath, build_fabric, kernel_telemetry, lint_gate, DeployError, DeployOptions,
+    SwitchBackend, SwitchEngine,
+};
 use crate::mux::TenantMux;
 use crate::nclc::{CompiledProgram, ModuleEstimate};
 use crate::runtime::NclHost;
@@ -42,11 +47,10 @@ use crate::watch::{FabricWatch, FabricWatchParts};
 use c3::{HostId, Label, NodeId, SwitchId};
 use ncl_and::AndKind;
 use ncsched::{AdmissionController, AdmissionError, CostReport, TenantSpec, Upgrade};
-use nctel::{Registry, Scope, ScopeEvent, SnapshotReason, WindowKey};
-use netsim::{
-    FastDatapath, HostApp, HostCtx, Network, NetworkBuilder, Packet, SwitchCfg, SwitchTelemetry,
-};
+use nctel::{Registry, Scope};
+use netsim::{FastDatapath, HostApp, HostCtx, Network, Packet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::convert::Infallible;
 
 /// One tenant's submission to [`deploy_tenants`].
 pub struct TenantDeploy {
@@ -70,8 +74,16 @@ pub struct TenantDeploy {
 pub enum MultiDeployError {
     /// `deploy_tenants` with an empty tenant list.
     NoTenants,
-    /// [`SwitchBackend::Pisa`] cannot multiplex tenants (module docs).
-    UnsupportedBackend,
+    /// A [`DeployOptions`] setting a shared fabric cannot honour:
+    /// [`SwitchBackend::Pisa`] cannot multiplex tenants (module docs),
+    /// and the [`DeployOptions::model_check`] gate checks one program's
+    /// pipelines at a time.
+    UnsupportedOption {
+        /// The offending [`DeployOptions`] field.
+        option: &'static str,
+        /// Why the fabric cannot honour it.
+        reason: &'static str,
+    },
     /// A tenant's program targets a different AND overlay.
     OverlayMismatch {
         /// The offending tenant.
@@ -135,12 +147,7 @@ impl std::fmt::Display for MultiDeployError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MultiDeployError::NoTenants => write!(f, "no tenants to deploy"),
-            MultiDeployError::UnsupportedBackend => {
-                write!(
-                    f,
-                    "the PISA pipeline backend cannot multiplex tenants; use a software tier"
-                )
-            }
+            MultiDeployError::UnsupportedOption { reason, .. } => write!(f, "{reason}"),
             MultiDeployError::OverlayMismatch { tenant } => {
                 write!(f, "tenant '{tenant}' targets a different AND overlay")
             }
@@ -219,28 +226,26 @@ pub struct MultiDeployment {
 /// Deploys several tenants onto one shared fabric (module docs).
 /// Admitted tenants run; rejected tenants land in
 /// [`MultiDeployment::rejections`] with cost reports. `opts.backend`
-/// must be a software tier.
+/// must be a software tier, and `opts.model_check` must be unset.
 pub fn deploy_tenants(
     tenants: Vec<TenantDeploy>,
     opts: DeployOptions,
 ) -> Result<MultiDeployment, MultiDeployError> {
-    let DeployOptions {
-        link_spec,
-        link_overrides,
-        backend,
-        registry,
-        scope,
-        model,
-        // Multi-tenant deployments run software tiers against per-tenant
-        // mux state; the model-check gate is a single-program, Pisa-level
-        // concern and is applied by `deploy_opts` instead.
-        model_check: _,
-    } = opts;
     if tenants.is_empty() {
         return Err(MultiDeployError::NoTenants);
     }
-    if backend == SwitchBackend::Pisa {
-        return Err(MultiDeployError::UnsupportedBackend);
+    if opts.backend == SwitchBackend::Pisa {
+        return Err(MultiDeployError::UnsupportedOption {
+            option: "backend",
+            reason: "the PISA pipeline backend cannot multiplex tenants; use a software tier",
+        });
+    }
+    if opts.model_check.is_some() {
+        return Err(MultiDeployError::UnsupportedOption {
+            option: "model_check",
+            reason: "the model-check gate checks one program's pipelines; \
+                     model-check each tenant through deploy_opts instead",
+        });
     }
     let overlay = tenants[0].program.overlay.clone();
     for t in &tenants[1..] {
@@ -292,24 +297,32 @@ pub fn deploy_tenants(
         }
     }
 
-    let hosts_loaded = registry.counter("deploy.hosts_loaded");
-    let switches_loaded = registry.counter("deploy.switches_loaded");
-    let admitted_ctr = registry.counter("deploy.tenants_admitted");
-    let rejected_ctr = registry.counter("deploy.tenants_rejected");
+    // The fabric builder bumps the load counters; registering them
+    // before the lint gate puts them, at zero, in a denial's flight
+    // record too.
+    opts.registry.counter("deploy.hosts_loaded");
+    opts.registry.counter("deploy.switches_loaded");
+    let admitted_ctr = opts.registry.counter("deploy.tenants_admitted");
+    let rejected_ctr = opts.registry.counter("deploy.tenants_rejected");
 
     // Lint gate, per tenant, per switch module — with kernel + version
     // identity in the denial (the would-be first deployment is v1).
     for t in &tenants {
-        lint_gate(&t.program, 1, &registry, &scope).map_err(|source| MultiDeployError::Lint {
-            tenant: t.spec.name.clone(),
-            source,
-        })?;
+        t.program
+            .overlay
+            .nodes
+            .iter()
+            .try_for_each(|n| lint_gate(&t.program, n, 1, &opts.registry, opts.scope.as_ref()))
+            .map_err(|source| MultiDeployError::Lint {
+                tenant: t.spec.name.clone(),
+                source,
+            })?;
     }
 
     // Admission: bin-pack each tenant, in submission order, against the
     // chip model, its quota, and what earlier tenants already hold.
     // Rejection is not an error — the tenant just stays off the fabric.
-    let mut controller = AdmissionController::new(model);
+    let mut controller = AdmissionController::new(opts.model);
     let mut rejections = Vec::new();
     let mut admitted_names: Vec<String> = Vec::new();
     for t in &tenants {
@@ -330,130 +343,79 @@ pub fn deploy_tenants(
             }
         }
     }
-    // Every tenant shares the overlay, so `_pass(label)` targets agree;
-    // capture them before the submissions are consumed.
-    let labels_template: HashMap<u16, NodeId> = tenants[0]
-        .program
-        .label_ids
-        .iter()
-        .map(|(_, &w)| (w, NodeId::from_wire(w)))
-        .collect();
     let mut admitted: Vec<TenantDeploy> = tenants
         .into_iter()
         .filter(|t| admitted_names.contains(&t.spec.name))
         .collect();
 
     // Build the shared fabric once; muxes hold the admitted tenants.
-    let mut b = NetworkBuilder::new();
-    b.with_metrics(registry.clone());
-    if let Some(scope) = &scope {
-        b.with_scope(scope);
-    }
-    let mut nodes: HashMap<Label, NodeId> = HashMap::new();
-    let mut book: Vec<AdmittedTenant> = admitted
-        .iter()
-        .map(|t| AdmittedTenant {
-            name: t.spec.name.clone(),
-            kernel_ids: t.program.kernel_ids.values().copied().collect(),
-            hosts: Vec::new(),
-            switches: Vec::new(),
-        })
-        .collect();
-    let mut versions = BTreeMap::new();
-    let mut tenant_of_label: HashMap<String, usize> = HashMap::new();
-    for (i, t) in admitted.iter().enumerate() {
-        for label in t.apps.keys() {
-            tenant_of_label.insert(label.clone(), i);
-        }
-    }
     // Apps move out of the submissions as hosts are built.
-    let mut taken: Vec<HashMap<String, Box<dyn HostApp>>> = admitted
+    let mut apps: Vec<HashMap<String, Box<dyn HostApp>>> = admitted
         .iter_mut()
         .map(|t| std::mem::take(&mut t.apps))
         .collect();
-
-    for n in &overlay.nodes {
-        match n.kind {
-            AndKind::Host => {
-                let app: Box<dyn HostApp> = match tenant_of_label.get(n.label.as_str()) {
-                    Some(&ti) => taken[ti]
-                        .remove(n.label.as_str())
-                        .expect("claim map built from these keys"),
-                    None => Box::new(IdleApp),
+    let mut hosts: Vec<Vec<(String, HostId)>> = vec![Vec::new(); admitted.len()];
+    let mut switches: Vec<Vec<String>> = vec![Vec::new(); admitted.len()];
+    let mut versions = BTreeMap::new();
+    let Ok((net, nodes)) = build_fabric::<Infallible>(
+        &overlay,
+        &opts,
+        |n| {
+            let label = n.label.as_str();
+            let claim = apps
+                .iter_mut()
+                .enumerate()
+                .find_map(|(ti, a)| Some((ti, a.remove(label)?)));
+            Ok(match claim {
+                Some((ti, app)) => {
+                    hosts[ti].push((label.to_string(), HostId(n.id)));
+                    app
+                }
+                None => Box::new(IdleApp),
+            })
+        },
+        |n| {
+            let label = n.label.as_str();
+            let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
+            let mut mux = TenantMux::new();
+            let mut kernels = HashMap::new();
+            for (ti, t) in admitted.iter().enumerate() {
+                let Some(dp) = backend_datapath(opts.backend, &t.program, label) else {
+                    continue;
                 };
-                let id = b.add_host(app);
-                hosts_loaded.inc();
-                debug_assert_eq!(id, HostId(n.id), "AND/netsim host id agreement");
-                nodes.insert(n.label.clone(), NodeId::Host(id));
-                if let Some(&ti) = tenant_of_label.get(n.label.as_str()) {
-                    book[ti].hosts.push((n.label.to_string(), id));
+                let version = 1u16;
+                let ids: BTreeSet<u16> = t.program.kernel_ids.values().copied().collect();
+                mux.add_tenant(&t.spec.name, ids, dp, version);
+                switches[ti].push(label.to_string());
+                for (kid, kt) in kernel_telemetry(&t.program, label, version) {
+                    versions.insert((wire, kid), version);
+                    kernels.insert(kid, kt);
                 }
             }
-            AndKind::Switch => {
-                let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-                let mut mux = TenantMux::new();
-                let mut tel_kernels = HashMap::new();
-                for (ti, t) in admitted.iter().enumerate() {
-                    let Some(dp) = backend_datapath(backend, &t.program, n.label.as_str()) else {
-                        continue;
-                    };
-                    let version = 1u16;
-                    let ids: BTreeSet<u16> = t.program.kernel_ids.values().copied().collect();
-                    mux.add_tenant(&t.spec.name, ids, dp, version);
-                    book[ti].switches.push(n.label.to_string());
-                    for (kid, kt) in kernel_telemetry(&t.program, n.label.as_str(), version) {
-                        versions.insert((wire, kid), version);
-                        tel_kernels.insert(kid, kt);
-                    }
-                }
-                let occupied = !mux.tenants().is_empty();
-                let fastpath: Option<Box<dyn FastDatapath>> =
-                    occupied.then(|| Box::new(mux) as Box<dyn FastDatapath>);
-                let telemetry = occupied.then_some(SwitchTelemetry {
-                    switch_id: wire,
-                    kernels: tel_kernels,
-                });
-                let labels = labels_template.clone();
-                let bcast: Vec<NodeId> = overlay
-                    .neighbours(n.label.as_str())
-                    .iter()
-                    .map(|peer| match peer.kind {
-                        AndKind::Host => NodeId::Host(HostId(peer.id)),
-                        AndKind::Switch => NodeId::Switch(SwitchId(peer.id)),
-                    })
-                    .collect();
-                let id = b.add_switch(SwitchCfg {
-                    pipeline: None,
-                    fastpath,
-                    labels,
-                    bcast,
-                    telemetry,
-                    ..SwitchCfg::default()
-                });
-                switches_loaded.inc();
-                debug_assert_eq!(id, SwitchId(n.id), "AND/netsim switch id agreement");
-                nodes.insert(n.label.clone(), NodeId::Switch(id));
-            }
-        }
-    }
-    for &(a, bidx) in &overlay.edges {
-        let la = overlay.nodes[a].label.as_str();
-        let lb = overlay.nodes[bidx].label.as_str();
-        let na = nodes[&overlay.nodes[a].label];
-        let nb = nodes[&overlay.nodes[bidx].label];
-        let spec = link_overrides
-            .iter()
-            .find(|(x, y, _)| (x == la && y == lb) || (x == lb && y == la))
-            .map(|(_, _, s)| *s)
-            .unwrap_or(link_spec);
-        b.link(na, nb, spec);
-    }
+            let occupied = !mux.tenants().is_empty();
+            Ok(SwitchEngine {
+                pipeline: None,
+                fastpath: occupied.then(|| Box::new(mux) as Box<dyn FastDatapath>),
+                kernels: occupied.then_some(kernels),
+            })
+        },
+    );
+    let book = admitted
+        .iter()
+        .zip(hosts.into_iter().zip(switches))
+        .map(|(t, (hosts, switches))| AdmittedTenant {
+            name: t.spec.name.clone(),
+            kernel_ids: t.program.kernel_ids.values().copied().collect(),
+            hosts,
+            switches,
+        })
+        .collect();
     Ok(MultiDeployment {
-        net: b.build(),
+        net,
         nodes,
         controller,
         rejections,
-        backend,
+        backend: opts.backend,
         tenants: book,
         versions,
     })
@@ -466,68 +428,6 @@ fn switch_estimates(program: &CompiledProgram) -> BTreeMap<String, ModuleEstimat
         .iter()
         .map(|(l, e)| (l.to_string(), e.clone()))
         .collect()
-}
-
-/// Builds one tenant's datapath for one switch label under a software
-/// tier. `None` when the label has no module in the program.
-fn backend_datapath(
-    backend: SwitchBackend,
-    program: &CompiledProgram,
-    label: &str,
-) -> Option<Box<dyn FastDatapath>> {
-    match backend {
-        SwitchBackend::FastPath => FastPathSwitch::from_program_with(program, label, false)
-            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
-        SwitchBackend::Simd => FastPathSwitch::from_program_with(program, label, true)
-            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
-        SwitchBackend::Interp => InterpSwitch::from_program(program, label)
-            .map(|it| Box::new(it) as Box<dyn FastDatapath>),
-        SwitchBackend::Pisa => None,
-    }
-}
-
-/// Re-runs the deploy-time lint gate over every switch module of
-/// `program`, reporting denials with kernel and version identity.
-fn lint_gate(
-    program: &CompiledProgram,
-    version: u16,
-    registry: &Registry,
-    scope: &Option<Scope>,
-) -> Result<(), DeployError> {
-    for n in &program.overlay.nodes {
-        if n.kind != AndKind::Switch {
-            continue;
-        }
-        let Some(module) = program.module(n.label.as_str()) else {
-            continue;
-        };
-        let diags = ncl_ir::lint::lint_module(module, &program.lint_config);
-        let (deny, _) = ncl_ir::lint::partition(diags);
-        if deny.is_empty() {
-            continue;
-        }
-        registry.counter("deploy.lint_denied").inc();
-        if let Some(scope) = scope {
-            let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-            scope.emit(
-                0,
-                wire,
-                WindowKey::new(0, 0, 0),
-                ScopeEvent::LintDenied { switch: wire },
-            );
-            scope.flight_record(SnapshotReason::LintDenied, 0, Some(registry), &[]);
-        }
-        let mut kernels: Vec<String> = deny.iter().map(|d| d.kernel.clone()).collect();
-        kernels.sort();
-        kernels.dedup();
-        return Err(DeployError::Lint {
-            label: n.label.to_string(),
-            kernels,
-            version,
-            diagnostics: deny,
-        });
-    }
-    Ok(())
 }
 
 impl MultiDeployment {
@@ -682,7 +582,12 @@ impl MultiDeployment {
                 source,
             })?;
         let registry = self.net.metrics().clone();
-        if let Err(source) = lint_gate(new_program, upgrade.new_version, &registry, &None) {
+        let gate = new_program
+            .overlay
+            .nodes
+            .iter()
+            .try_for_each(|n| lint_gate(new_program, n, upgrade.new_version, &registry, None));
+        if let Err(source) = gate {
             self.controller
                 .abort_upgrade(tenant)
                 .expect("upgrade just began");
@@ -986,7 +891,24 @@ mod tests {
                     ..DeployOptions::default()
                 }
             ),
-            Err(MultiDeployError::UnsupportedBackend)
+            Err(MultiDeployError::UnsupportedOption {
+                option: "backend",
+                ..
+            })
+        ));
+        // The model-check gate is refused, not silently skipped.
+        assert!(matches!(
+            deploy_tenants(
+                two_tenants(),
+                DeployOptions {
+                    model_check: Some(crate::mc::McConfig::default()),
+                    ..opts()
+                }
+            ),
+            Err(MultiDeployError::UnsupportedOption {
+                option: "model_check",
+                ..
+            })
         ));
         // Overlapping kernel-id ranges.
         let pa = tenant_program(0);

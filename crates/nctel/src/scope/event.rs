@@ -347,8 +347,8 @@ impl EventRing {
         self.logged().saturating_sub(self.slots.len() as u64)
     }
 
-    /// Appends a record. Lock-free: one atomic `fetch_add` plus six
-    /// relaxed stores; never blocks or allocates.
+    /// Appends a record. Lock-free: one atomic `fetch_add`, six stores
+    /// and one release fence; never blocks or allocates.
     pub fn push(&self, r: ScopeEventRecord) {
         let n = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(n % self.slots.len() as u64) as usize];
@@ -357,6 +357,11 @@ impl EventRing {
             | ((r.kernel as u64) << 16)
             | r.kind as u64;
         slot.version.store(2 * n + 1, Ordering::Release);
+        // Without this fence a weakly-ordered CPU may publish the payload
+        // before the odd version, so a reader could accept a torn slot
+        // (Boehm, "Can seqlocks get along with programming language
+        // memory models?", MSPC 2012).
+        fence(Ordering::Release);
         slot.words[0].store(r.t, Ordering::Relaxed);
         slot.words[1].store(w1, Ordering::Relaxed);
         slot.words[2].store(r.seq as u64, Ordering::Relaxed);

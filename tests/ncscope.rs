@@ -340,6 +340,11 @@ fn concurrent_decode_never_observes_torn_events() {
             })
         })
         .collect();
+    // Snapshot only once the writers have wrapped the ring: on a loaded
+    // host the reader could otherwise finish before any writer runs.
+    while scope.logged() <= 256 {
+        std::thread::yield_now();
+    }
     let dcfg = analysis::DiagnosisConfig::default();
     let mut decoded_total = 0usize;
     for _ in 0..200 {

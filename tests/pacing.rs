@@ -4,11 +4,11 @@
 
 use ncl::core::apps::allreduce_source;
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::deploy;
+use ncl::core::deploy::{deploy_opts, DeployOptions};
 use ncl::core::nclc::{compile, CompileConfig};
 use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
-use ncl::netsim::{HostApp, LinkSpec};
+use ncl::netsim::HostApp;
 use std::collections::HashMap;
 
 fn run(gap: u64) -> (u64, Vec<i64>) {
@@ -44,13 +44,7 @@ fn run(gap: u64) -> (u64, Vec<i64>) {
         host.done_on_flag(kid, 1);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -111,13 +105,7 @@ fn delayed_start_defers_first_packet() {
         host.done_on_flag(kid, 1);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(

@@ -6,11 +6,11 @@
 //! rate-limited, which the data-centric API cannot express.
 
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::deploy;
+use ncl::core::deploy::{deploy_opts, DeployOptions};
 use ncl::core::nclc::{compile, CompileConfig};
 use ncl::core::runtime::{invocation_packets, NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
-use ncl::netsim::{HostApp, HostCtx, LinkSpec, Packet};
+use ncl::netsim::{HostApp, HostCtx, Packet};
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -92,13 +92,7 @@ fn per_window_api_interoperates_with_data_centric_api() {
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     apps.insert("worker1".into(), Box::new(w1));
     apps.insert("worker2".into(), Box::new(w2));
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
