@@ -3,8 +3,11 @@
 //! tree-walking interpreter, scalar micro-op fast path, ncvec SIMD —
 //! over the example kernels, headlined by the wide (1024-element)
 //! AllReduce windows the tier is built for, plus the end-to-end
-//! wall-clock of the netsim AllReduce and KVS workloads on the FastPath
-//! vs the Simd deploy backend.
+//! wall-clock of the netsim AllReduce and KVS workloads on the Simd
+//! deploy backend with ncvec forced scalar vs at the host's level
+//! ([`ncvec::set_force_scalar`] flipped between the arms of
+//! interleaved pairs; reported as the median per-pair speedup,
+//! informational).
 //!
 //! Doubles as the CI acceptance gate: on a host with AVX2, the SIMD
 //! tier must beat the scalar fast path by ≥2x on the 1024-element
@@ -17,7 +20,7 @@
 //! so it lands under crates/bench/).
 
 use c3::{Chunk, HostId, KernelId, NodeId, ScalarType, Value, Window};
-use ncl_bench::{rule, run_allreduce_e2e, run_kvs_on};
+use ncl_bench::{paired_ratio, rule, run_allreduce_e2e, run_kvs_on, PairedRatio};
 use ncl_core::apps::{allreduce_source, kvs_source};
 use ncl_core::deploy::SwitchBackend;
 use ncl_core::{compile, CompileConfig, CompiledProgram};
@@ -25,6 +28,9 @@ use ncl_ir::ir::KernelIr;
 use ncl_ir::{ncvec, CompiledKernel, ExecScratch, Interpreter, MapId, SwitchState};
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Interleaved forced-scalar/host-lanes pairs per end-to-end workload.
+const E2E_PAIRS: usize = 21;
 
 struct Case {
     name: &'static str,
@@ -219,6 +225,21 @@ fn measure(case: &Case) -> Row {
     }
 }
 
+/// Times one end-to-end workload as interleaved pairs: arm A at the
+/// host's ncvec level, arm B with ncvec forced scalar, so the ratio is
+/// the lanes' speedup. `run` returns wall ms and asserts its simulated
+/// results.
+fn scalar_vs_lanes(run: impl Fn() -> f64) -> PairedRatio {
+    let forced = ncvec::force_scalar();
+    let arm = |scalar: bool| {
+        ncvec::set_force_scalar(scalar || forced);
+        let secs = run() / 1e3;
+        ncvec::set_force_scalar(forced);
+        secs
+    };
+    paired_ratio(E2E_PAIRS, || arm(false), || arm(true))
+}
+
 fn main() {
     let level = ncvec::level();
     println!("E13: three-tier kernel execution — interpreter vs scalar fast path vs ncvec");
@@ -252,43 +273,47 @@ fn main() {
     }
     rule(86);
 
-    // End-to-end: identical simulated outcomes, wall-clock difference
-    // is the execution tier. Warm one throwaway run per arm to settle
-    // allocator state before the measured one.
-    println!("\nend-to-end netsim wall-clock (simulated results bit-identical by construction):");
-    let (ar_f0, _) = run_allreduce_e2e(3, 16384, 1024, SwitchBackend::FastPath);
-    let (_, ar_fast_ms) = run_allreduce_e2e(3, 16384, 1024, SwitchBackend::FastPath);
-    let (ar_v0, _) = run_allreduce_e2e(3, 16384, 1024, SwitchBackend::Simd);
-    let (_, ar_simd_ms) = run_allreduce_e2e(3, 16384, 1024, SwitchBackend::Simd);
-    assert_eq!(ar_f0.completion, ar_v0.completion, "sim results diverged");
-    assert_eq!(ar_f0.bytes_on_wire, ar_v0.bytes_on_wire);
-    let (kv_f0, _) = run_kvs_on(2, 200, 1.1, 64, 16, 8, SwitchBackend::FastPath);
-    let (_, kv_fast_ms) = run_kvs_on(2, 200, 1.1, 64, 16, 8, SwitchBackend::FastPath);
-    let (kv_v0, _) = run_kvs_on(2, 200, 1.1, 64, 16, 8, SwitchBackend::Simd);
-    let (_, kv_simd_ms) = run_kvs_on(2, 200, 1.1, 64, 16, 8, SwitchBackend::Simd);
-    assert_eq!(kv_f0.server_ops, kv_v0.server_ops, "kvs results diverged");
-    assert!((kv_f0.hit_rate - kv_v0.hit_rate).abs() < 1e-12);
-    rule(66);
+    // End-to-end: one backend, two ncvec levels. The simulated outcome
+    // is identical by construction (asserted against a warm-up run);
+    // the wall-clock difference is the lanes the host offers. The two
+    // arms run as interleaved pairs, alternating which goes first, and
+    // the speedup is the median of the per-pair ratios.
     println!(
-        "{:>22} {:>14} {:>14} {:>10}",
-        "workload", "fastpath ms", "simd ms", "speedup"
+        "\nend-to-end netsim wall-clock, Simd backend, forced-scalar vs {level} \
+         ({E2E_PAIRS} interleaved pairs; simulated results asserted identical):"
     );
-    rule(66);
+    let (ar_ref, _) = run_allreduce_e2e(3, 16384, 1024, SwitchBackend::Simd);
+    let ar = scalar_vs_lanes(|| {
+        let (r, ms) = run_allreduce_e2e(3, 16384, 1024, SwitchBackend::Simd);
+        assert_eq!(r.completion, ar_ref.completion, "sim results diverged");
+        assert_eq!(r.bytes_on_wire, ar_ref.bytes_on_wire);
+        ms
+    });
+    let (kv_ref, _) = run_kvs_on(2, 200, 1.1, 64, 16, 8, SwitchBackend::Simd);
+    let kv = scalar_vs_lanes(|| {
+        let (r, ms) = run_kvs_on(2, 200, 1.1, 64, 16, 8, SwitchBackend::Simd);
+        assert_eq!(r.server_ops, kv_ref.server_ops, "kvs results diverged");
+        assert!((r.hit_rate - kv_ref.hit_rate).abs() < 1e-12);
+        ms
+    });
+    rule(74);
     println!(
-        "{:>22} {:>14.1} {:>14.1} {:>9.2}x",
-        "allreduce 1024x16Ki",
-        ar_fast_ms,
-        ar_simd_ms,
-        ar_fast_ms / ar_simd_ms.max(1e-9)
+        "{:>22} {:>12} {:>12} {:>10} {:>14}",
+        "workload", "scalar ms", "simd ms", "speedup", "quartiles"
     );
-    println!(
-        "{:>22} {:>14.1} {:>14.1} {:>9.2}x",
-        "kvs zipf(1.1)",
-        kv_fast_ms,
-        kv_simd_ms,
-        kv_fast_ms / kv_simd_ms.max(1e-9)
-    );
-    rule(66);
+    rule(74);
+    for (name, p) in [("allreduce 1024x16Ki", &ar), ("kvs zipf(1.1)", &kv)] {
+        println!(
+            "{:>22} {:>12.1} {:>12.1} {:>9.2}x {:>6.2}..{:<6.2}",
+            name,
+            p.b_secs * 1e3,
+            p.a_secs * 1e3,
+            p.median,
+            p.quartiles.0,
+            p.quartiles.1
+        );
+    }
+    rule(74);
 
     // Acceptance gate: ≥2x over the scalar fast path on the wide
     // AllReduce, enforced where AVX2 is available.
@@ -327,13 +352,26 @@ fn main() {
             )
         })
         .collect();
+    let e2e_json: Vec<String> = [("allreduce", &ar), ("kvs", &kv)]
+        .iter()
+        .map(|(name, p)| {
+            format!(
+                "{{\"workload\":\"{name}\",\"pairs\":{E2E_PAIRS},\"scalar_ms\":{:.3},\
+                 \"simd_ms\":{:.3},\"speedup_median\":{:.3},\"speedup_quartiles\":[{:.3},{:.3}]}}",
+                p.b_secs * 1e3,
+                p.a_secs * 1e3,
+                p.median,
+                p.quartiles.0,
+                p.quartiles.1
+            )
+        })
+        .collect();
     let json = format!(
         "{{\"experiment\":\"e13\",\"simd_level\":\"{level}\",\"kernels\":[{}],\
          \"gate\":{{\"kernel\":\"allreduce1024\",\"required\":2.0,\"measured\":{gate:.3},\
-         \"enforced\":{enforced}}},\"e2e\":[{{\"workload\":\"allreduce\",\
-         \"fastpath_ms\":{ar_fast_ms:.3},\"simd_ms\":{ar_simd_ms:.3}}},{{\"workload\":\"kvs\",\
-         \"fastpath_ms\":{kv_fast_ms:.3},\"simd_ms\":{kv_simd_ms:.3}}}]}}\n",
-        kernels_json.join(",")
+         \"enforced\":{enforced}}},\"e2e\":[{}]}}\n",
+        kernels_json.join(","),
+        e2e_json.join(",")
     );
     std::fs::create_dir_all("target").ok();
     std::fs::write("target/e13-metrics.json", &json).expect("write target/e13-metrics.json");

@@ -12,10 +12,10 @@
 //! run v2, and the per-hop version stamps in the window traces prove
 //! no window executed the wrong version.
 //!
-//! Doubles as the CI acceptance gate: the whole scenario runs on each
-//! software switch tier (interp, fastpath, simd) and must produce
-//! bit-identical simulated results — same sums, same KVS hits, same
-//! window counts, same drain size. Writes `target/e14-metrics.json`
+//! Doubles as the CI acceptance gate: the whole scenario runs on both
+//! software switch tiers (interp, simd) and must produce bit-identical
+//! simulated results — same sums, same KVS hits, same window counts,
+//! same drain size. Writes `target/e14-metrics.json`
 //! (bench binaries run with cwd at the package root, so it lands
 //! under crates/bench/).
 
@@ -422,7 +422,6 @@ fn main() {
 
     let runs = [
         run_tier(SwitchBackend::Interp, "interp"),
-        run_tier(SwitchBackend::FastPath, "fastpath"),
         run_tier(SwitchBackend::Simd, "simd"),
     ];
 
@@ -482,7 +481,7 @@ fn main() {
             r.backend
         );
     }
-    println!("\ntier equivalence: interp == fastpath == simd on every simulated outcome");
+    println!("\ntier equivalence: interp == simd on every simulated outcome");
     println!("rejection report: {}", base.rejection_json.trim_end());
 
     let tiers_json: Vec<String> = runs

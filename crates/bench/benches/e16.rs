@@ -142,7 +142,7 @@ fn build(overrides: Vec<(String, String, LinkSpec)>, greedy: bool) -> Fixture {
         });
     }
     let opts = DeployOptions {
-        backend: SwitchBackend::FastPath,
+        backend: SwitchBackend::Simd,
         scope: Some(scope.clone()),
         link_overrides: overrides,
         ..DeployOptions::default()

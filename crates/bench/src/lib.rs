@@ -523,6 +523,55 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
+/// An interleaved A/B wall-clock comparison ([`paired_ratio`]).
+#[derive(Clone, Copy, Debug)]
+pub struct PairedRatio {
+    /// Median over pairs of `b / a`.
+    pub median: f64,
+    /// First and third quartiles of the per-pair ratios.
+    pub quartiles: (f64, f64),
+    /// Median wall seconds of arm A.
+    pub a_secs: f64,
+    /// Median wall seconds of arm B.
+    pub b_secs: f64,
+}
+
+/// Times `pairs` back-to-back runs of two arms, alternating which arm
+/// runs first, and reports the median of the per-pair ratios `b / a`.
+/// Each closure runs its arm once and returns the wall seconds it
+/// measured. Pairing cancels drift that a best-of-N per arm cannot
+/// (frequency scaling, a neighbour's load), and alternating the order
+/// cancels warm-cache bias towards whichever arm runs second.
+pub fn paired_ratio(
+    pairs: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> PairedRatio {
+    let (mut ratios, mut a_s, mut b_s) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (ta, tb) = if i % 2 == 0 {
+            let ta = a();
+            (ta, b())
+        } else {
+            let tb = b();
+            (a(), tb)
+        };
+        ratios.push(tb / ta.max(1e-12));
+        a_s.push(ta);
+        b_s.push(tb);
+    }
+    let quantile = |v: &mut Vec<f64>, q: f64| {
+        v.sort_by(f64::total_cmp);
+        v[((v.len() - 1) as f64 * q).round() as usize]
+    };
+    PairedRatio {
+        median: quantile(&mut ratios, 0.5),
+        quartiles: (quantile(&mut ratios, 0.25), quantile(&mut ratios, 0.75)),
+        a_secs: quantile(&mut a_s, 0.5),
+        b_secs: quantile(&mut b_s, 0.5),
+    }
+}
+
 /// Results of one telemetry-enabled AllReduce run (E11).
 #[derive(Clone, Debug)]
 pub struct TelemetryResult {

@@ -584,8 +584,18 @@ impl HostApp for KvsServer {
             // PUT ack to the client.
             let ack = self.response_window(ctx.host, w.seq, key, &val);
             ctx.send(client, encode_window(&ack, 0));
+            // A fill still waiting on its Idx entry carries the new
+            // value instead: a write-through now could land before the
+            // entry, and the kernel would write it into slot 0.
+            let mut pending = false;
+            for (fill, _) in self.pending_updates.values_mut() {
+                if fill.chunks[0].get(ScalarType::U64, 0).bits() == key {
+                    fill.chunks[1] = ack.chunks[1].clone();
+                    pending = true;
+                }
+            }
             // Write-through to an existing cache entry.
-            if self.cached.contains_key(&key) {
+            if !pending && self.cached.contains_key(&key) {
                 let mut upd = self.response_window(ctx.host, u32::MAX, key, &val);
                 upd.chunks[2].data[0] = 1;
                 ctx.send(client, encode_window(&upd, 0));

@@ -35,19 +35,14 @@ pub enum SwitchBackend {
     /// — the default, and the engine all resource experiments use.
     #[default]
     Pisa,
-    /// The compiled fast-path executor ([`FastPathSwitch`]): versioned
-    /// IR kernels lowered to linear micro-op programs, cached per
-    /// `(kernel, location)` and executed allocation-free. This backend
-    /// pins the scalar micro-op tier — the measured baseline the ncvec
-    /// SIMD tier (E13) is compared against.
-    FastPath,
-    /// The fast-path executor with the ncvec SIMD tier enabled: fused
-    /// element-wise runs execute as width-specialized lane loops
-    /// (AVX2 on detecting hosts, portable lanes elsewhere), falling
-    /// back to the scalar micro-op path per run — bit-identically —
-    /// for kernels with no fusible runs, non-packable slot strides, or
-    /// when `NCVEC_FORCE_SCALAR=1`. The default tier for fusible
-    /// kernels on the software switch.
+    /// The compiled fast path ([`FastPathSwitch`]): versioned IR
+    /// kernels lowered to linear micro-op programs, cached per
+    /// `(kernel, location)` and executed allocation-free. Fused
+    /// element-wise runs execute on the lanes the host offers
+    /// ([`ncl_ir::ncvec::level`]): AVX2 where detected, portable lanes
+    /// elsewhere, and the scalar micro-op loops — bit-identically — for
+    /// kernels with no fusible runs, non-packable slot strides, or when
+    /// `NCVEC_FORCE_SCALAR=1`.
     Simd,
     /// The reference interpreter ([`InterpSwitch`]): the same versioned
     /// IR executed by `ncl_ir::interp` — the slowest tier, kept for
@@ -560,9 +555,7 @@ pub(crate) fn backend_datapath(
     label: &str,
 ) -> Option<Box<dyn FastDatapath>> {
     match backend {
-        SwitchBackend::FastPath => FastPathSwitch::from_program_with(program, label, false)
-            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
-        SwitchBackend::Simd => FastPathSwitch::from_program_with(program, label, true)
+        SwitchBackend::Simd => FastPathSwitch::from_program(program, label)
             .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
         SwitchBackend::Interp => InterpSwitch::from_program(program, label)
             .map(|it| Box::new(it) as Box<dyn FastDatapath>),
@@ -679,7 +672,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
                     Value::u32(3),
                 );
             }
-            SwitchBackend::FastPath | SwitchBackend::Simd | SwitchBackend::Interp => {
+            SwitchBackend::Simd | SwitchBackend::Interp => {
                 let fp = dep.net.switch_fastpath_mut(s1).unwrap();
                 for op in cp.ctrl_wr_ops("nworkers", Value::u32(3)) {
                     assert!(fp.ctrl(&op));
@@ -714,14 +707,8 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         run_allreduce(SwitchBackend::Pisa);
     }
 
-    /// Same workload, same assertions, compiled fast-path engine.
-    #[test]
-    fn allreduce_full_system_fastpath() {
-        run_allreduce(SwitchBackend::FastPath);
-    }
-
-    /// Same workload, same assertions, ncvec SIMD tier — fused vector
-    /// runs execute through width-specialized lane loops (or AVX2).
+    /// Same workload, same assertions, compiled fast-path engine —
+    /// fused vector runs execute on the host's ncvec lanes.
     #[test]
     fn allreduce_full_system_simd() {
         run_allreduce(SwitchBackend::Simd);

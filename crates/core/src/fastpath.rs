@@ -11,15 +11,18 @@
 //! outgoing packet buffer.
 //!
 //! It plugs into the simulator as a [`netsim::FastDatapath`]
-//! (see [`crate::deploy::SwitchBackend::FastPath`]) and serves as the
-//! software-switch engine for the Sockets/UDP backend. The modeled PISA
+//! (see [`crate::deploy::SwitchBackend::Simd`]) and serves as the
+//! software-switch engine for the Sockets/UDP backend. Fused
+//! element-wise runs go to the ncvec lane loops at whatever level the
+//! host offers ([`ncl_ir::ncvec::level`]: AVX2, portable lanes, or
+//! scalar). The modeled PISA
 //! pipeline remains the resource-checked hardware model; the
 //! differential tests below hold the two to identical verdicts, output
 //! windows, and register state.
 
 use crate::nclc::CompiledProgram;
 use c3::{Forward, Label, Value, Window};
-use ncl_ir::ir::{CtrlId, MapId, Module};
+use ncl_ir::ir::{CtrlId, MapId};
 use ncl_ir::{CompiledKernel, ExecScratch, SwitchState};
 use ncp::codec::{decode_window_into, encode_window_into};
 use ncp::{NcpPacket, FLAG_ACK, FLAG_FRAGMENT, FLAG_NACK};
@@ -59,58 +62,40 @@ pub struct FastPathSwitch {
 }
 
 impl FastPathSwitch {
-    /// Builds the datapath from a location's versioned module.
-    /// `location_id` is the AND node id (`location.id`), `kernel_ids`
-    /// the program-wide NCP ids, `label_wires` the `_pass(label)` wire
-    /// ids, and `ext_total` the program's window-extension size.
-    pub fn new(
-        module: &Module,
-        location_id: u16,
-        kernel_ids: &HashMap<String, u16>,
-        label_wires: &HashMap<Label, u16>,
-        ext_total: usize,
-    ) -> Self {
-        Self::new_with_simd(
-            module,
-            location_id,
-            kernel_ids,
-            label_wires,
-            ext_total,
-            true,
-        )
+    /// Builds the datapath for one switch label of a compiled program,
+    /// aliasing the backend's compiled control-register and lookup-table
+    /// names so deferred [`CtrlOp`]s emitted by
+    /// [`crate::control::ControlPlane`] resolve unchanged.
+    pub fn from_program(program: &CompiledProgram, label: &str) -> Option<Self> {
+        Self::from_program_with(program, label, true)
     }
 
-    /// [`FastPathSwitch::new`] with explicit tier selection: `simd`
-    /// offers fused element-wise runs to the ncvec SIMD tier (the
-    /// default — kernels with no fusible runs execute identically
-    /// either way), `false` pins the scalar micro-op fast path, the
-    /// A/B baseline [`crate::deploy::SwitchBackend::FastPath`] uses.
-    pub fn new_with_simd(
-        module: &Module,
-        location_id: u16,
-        kernel_ids: &HashMap<String, u16>,
-        label_wires: &HashMap<Label, u16>,
-        ext_total: usize,
-        simd: bool,
-    ) -> Self {
+    /// [`FastPathSwitch::from_program`] with explicit tier selection:
+    /// `simd` offers fused element-wise runs to the ncvec SIMD tier
+    /// (the default — kernels with no fusible runs execute identically
+    /// either way, and [`ncl_ir::ncvec::level`] still decides which
+    /// lanes run), `false` pins every kernel's scalar micro-op loops.
+    pub fn from_program_with(program: &CompiledProgram, label: &str, simd: bool) -> Option<Self> {
+        let module = program.module(label)?;
         let mut state = SwitchState::from_module(module);
-        state.location_id = location_id;
+        state.location_id = program.overlay.node(label)?.id;
         let kernels = module
             .kernels
             .iter()
             .filter_map(|k| {
-                kernel_ids
+                program
+                    .kernel_ids
                     .get(&k.name)
                     .map(|&id| (id, CompiledKernel::compile_for(k, module).with_simd(simd)))
             })
             .collect();
-        let ctrl_by_name = module
+        let ctrl_by_name: HashMap<String, CtrlId> = module
             .ctrls
             .iter()
             .enumerate()
             .map(|(i, c)| (c.name.clone(), CtrlId(i as u32)))
             .collect();
-        let map_by_name = module
+        let map_by_name: HashMap<String, MapId> = module
             .maps
             .iter()
             .enumerate()
@@ -122,7 +107,25 @@ impl FastPathSwitch {
             .enumerate()
             .map(|(i, r)| (r.name.clone(), i))
             .collect();
-        FastPathSwitch {
+        let mut ctrl_by_copy = HashMap::new();
+        let mut map_by_table = HashMap::new();
+        if let Some(compiled) = program.switch(label) {
+            for (src, copies) in &compiled.ctrl_regs {
+                if let Some(&c) = ctrl_by_name.get(src) {
+                    for copy in copies {
+                        ctrl_by_copy.insert(copy.clone(), c);
+                    }
+                }
+            }
+            for (src, tables) in &compiled.map_tables {
+                if let Some(&m) = map_by_name.get(src) {
+                    for t in tables {
+                        map_by_table.insert(t.clone(), m);
+                    }
+                }
+            }
+        }
+        Some(FastPathSwitch {
             kernels,
             state,
             scratch: ExecScratch::new(),
@@ -135,57 +138,17 @@ impl FastPathSwitch {
                 chunks: Vec::new(),
                 ext: Vec::new(),
             },
-            ext_total,
+            ext_total: program.checked.window_ext.size(),
             ctrl_by_name,
-            ctrl_by_copy: HashMap::new(),
+            ctrl_by_copy,
             map_by_name,
-            map_by_table: HashMap::new(),
+            map_by_table,
             reg_by_name,
-            label_wires: label_wires.clone(),
+            label_wires: program.label_ids.clone(),
             windows: Counter::new(),
             misses: Counter::new(),
             errors: Counter::new(),
-        }
-    }
-
-    /// Builds the datapath for one switch label of a compiled program,
-    /// aliasing the backend's compiled control-register and lookup-table
-    /// names so deferred [`CtrlOp`]s emitted by
-    /// [`crate::control::ControlPlane`] resolve unchanged.
-    pub fn from_program(program: &CompiledProgram, label: &str) -> Option<Self> {
-        Self::from_program_with(program, label, true)
-    }
-
-    /// [`FastPathSwitch::from_program`] with explicit tier selection
-    /// (see [`FastPathSwitch::new_with_simd`]).
-    pub fn from_program_with(program: &CompiledProgram, label: &str, simd: bool) -> Option<Self> {
-        let module = program.module(label)?;
-        let id = program.overlay.node(label)?.id;
-        let mut fp = Self::new_with_simd(
-            module,
-            id,
-            &program.kernel_ids,
-            &program.label_ids,
-            program.checked.window_ext.size(),
-            simd,
-        );
-        if let Some(compiled) = program.switch(label) {
-            for (src, copies) in &compiled.ctrl_regs {
-                if let Some(&c) = fp.ctrl_by_name.get(src) {
-                    for copy in copies {
-                        fp.ctrl_by_copy.insert(copy.clone(), c);
-                    }
-                }
-            }
-            for (src, tables) in &compiled.map_tables {
-                if let Some(&m) = fp.map_by_name.get(src) {
-                    for t in tables {
-                        fp.map_by_table.insert(t.clone(), m);
-                    }
-                }
-            }
-        }
-        Some(fp)
+        })
     }
 
     /// Processes one payload: decode (buffer-reusing), execute the

@@ -27,9 +27,9 @@
 //! [`MultiDeployment::finish_upgrade`] retires the old version and
 //! returns its resources to the pool.
 //!
-//! Only the software switch tiers multiplex —
-//! [`SwitchBackend::FastPath`], [`SwitchBackend::Simd`],
-//! [`SwitchBackend::Interp`]. The modeled PISA pipeline cannot host two
+//! Only the software switch tiers multiplex — the compiled fast path
+//! ([`SwitchBackend::Simd`]) and the reference interpreter
+//! ([`SwitchBackend::Interp`]). The modeled PISA pipeline cannot host two
 //! independently compiled programs in one pipeline object, so
 //! [`SwitchBackend::Pisa`] is rejected up front, as is
 //! [`DeployOptions::model_check`]: the model-check gate checks one
@@ -756,7 +756,7 @@ mod tests {
     #[test]
     fn two_tenants_share_one_switch() {
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(two_tenants(), opts).expect("deploys");
@@ -800,7 +800,7 @@ mod tests {
             ncsched::TenantQuota::new(0, usize::MAX, usize::MAX),
         );
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(tenants, opts).expect("deploys");
@@ -826,7 +826,7 @@ mod tests {
     #[test]
     fn hitless_upgrade_drains_and_reclaims() {
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(two_tenants(), opts).expect("deploys");
@@ -875,7 +875,7 @@ mod tests {
     #[test]
     fn structural_errors_are_hard() {
         let opts = || DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         assert!(matches!(
@@ -959,7 +959,7 @@ mod tests {
     #[test]
     fn upgrade_with_new_kernel_ids_is_refused() {
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(two_tenants(), opts).expect("deploys");
@@ -977,7 +977,7 @@ mod tests {
     #[test]
     fn healthy_run_stays_incident_free_under_watch() {
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(two_tenants(), opts).expect("deploys");
@@ -1010,7 +1010,7 @@ mod tests {
             ncsched::TenantQuota::new(0, usize::MAX, usize::MAX),
         );
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let dep = deploy_tenants(tenants, opts).expect("deploys");

@@ -726,11 +726,6 @@ impl CompiledKernel {
         self
     }
 
-    /// Whether this kernel offers fused runs to the ncvec SIMD tier.
-    pub fn simd(&self) -> bool {
-        self.simd
-    }
-
     /// Number of fused element-wise runs (`VecAccum`/`VecRegToWin`/
     /// `VecWinToReg`) in the program — the ops the ncvec tier can
     /// accelerate. Zero means the SIMD tier degenerates to the plain

@@ -647,6 +647,87 @@ mod tests {
         assert_eq!(simd_c.data, scalar_c.data);
     }
 
+    /// Drives the three width-`N` bodies at level `lv` over one packed
+    /// run of `ty` elements and checks each against its scalar loop.
+    /// The run length is odd so the AVX2 bodies leave a portable tail.
+    fn bodies_match_scalar<const N: usize>(lv: SimdLevel, ty: ScalarType) {
+        const RUN: u32 = 37;
+        let v = VecOp {
+            wty: ty,
+            n: RUN,
+            aty: ty,
+            sty: ty,
+            ..vo(0, RUN, 63, u32::MAX as u64, false)
+        };
+        let c = Chunk {
+            offset: 0,
+            data: (0..RUN as usize * N)
+                .map(|i| (i as u8).wrapping_mul(151).wrapping_add(0x7d))
+                .collect(),
+        };
+        // Stale slots of other (wider, narrower, bool) types next to
+        // slots of the run's own type.
+        let arr: Vec<Value> = (0..64u64)
+            .map(|i| match i % 4 {
+                0 => Value::new(ScalarType::U64, 0xfeed_f00d_dead_beef ^ i),
+                1 => Value::new(ScalarType::I8, 0x80 | i),
+                2 => Value::bool(i % 8 == 2),
+                _ => Value::new(ty, u64::MAX - i),
+            })
+            .collect();
+        let src = &c.data[..];
+        let w = RUN as usize;
+        let what = format!("{lv} {ty:?}");
+
+        let (mut body, mut scalar) = (arr.clone(), arr.clone());
+        accum_body::<N>(lv, &mut body[..w], src, ty);
+        crate::exec::vec_accum_scalar(&v, 0..RUN, 0, &mut scalar, Some(&c));
+        assert_eq!(body, scalar, "accum {what}");
+
+        let (mut body, mut scalar) = (arr.clone(), arr.clone());
+        win_to_reg_body::<N>(lv, &mut body[..w], src, ty);
+        crate::exec::vec_win_to_reg_scalar(&v, 0..RUN, 0, &mut scalar, Some(&c));
+        assert_eq!(body, scalar, "win_to_reg {what}");
+
+        let mut body = vec![0u8; w * N];
+        let mut scalar = Chunk {
+            offset: 0,
+            data: vec![0u8; w * N],
+        };
+        reg_to_win_body::<N>(lv, &arr[..w], &mut body, ty);
+        crate::exec::vec_reg_to_win_scalar(&v, 0..RUN, 0, &arr, &mut scalar);
+        assert_eq!(body, scalar.data, "reg_to_win {what}");
+    }
+
+    #[test]
+    fn every_width_body_matches_scalar_at_every_level() {
+        let mut levels = vec![SimdLevel::Lanes];
+        if detected() == SimdLevel::Avx2 {
+            levels.push(SimdLevel::Avx2);
+        }
+        let types = [
+            ScalarType::U8,
+            ScalarType::I8,
+            ScalarType::U16,
+            ScalarType::I16,
+            ScalarType::U32,
+            ScalarType::I32,
+            ScalarType::U64,
+            ScalarType::I64,
+        ];
+        for &lv in &levels {
+            for ty in types {
+                match ty.size() {
+                    1 => bodies_match_scalar::<1>(lv, ty),
+                    2 => bodies_match_scalar::<2>(lv, ty),
+                    4 => bodies_match_scalar::<4>(lv, ty),
+                    8 => bodies_match_scalar::<8>(lv, ty),
+                    n => unreachable!("no {n}-byte scalar"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn force_scalar_gates_level() {
         let was = force_scalar();

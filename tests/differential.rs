@@ -441,7 +441,9 @@ fn corpus_kernel_cases_match_interpreter() {
 /// The in-band telemetry differential (DESIGN.md §4.9): the same window
 /// crossing the same two-switch chain must yield *bit-identical* hop
 /// records whether each switch runs the modeled PISA pipeline, the
-/// compiled fast-path executor, or the IR interpreter. Everything in a
+/// compiled fast-path executor (on the host's ncvec lanes, or the
+/// scalar micro-op loops under `NCVEC_FORCE_SCALAR=1`), or the IR
+/// interpreter. Everything in a
 /// hop record — switch id, kernel id/version, stage count, micro-op
 /// count, dup flag, sim-time ticks — comes from deploy-time metadata
 /// and simulated time, so a tier that drifted in timing, versioning, or
@@ -509,7 +511,6 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
     };
 
     let pisa = run(SwitchBackend::Pisa);
-    let fast = run(SwitchBackend::FastPath);
     let simd = run(SwitchBackend::Simd);
     let interp = run(SwitchBackend::Interp);
 
@@ -529,11 +530,6 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
             .map(|t| t.hops.iter().flat_map(|h| h.encode()).collect::<Vec<u8>>())
             .collect()
     };
-    assert_eq!(
-        encode(&pisa),
-        encode(&fast),
-        "PISA and fast-path hop records diverge"
-    );
     assert_eq!(
         encode(&pisa),
         encode(&simd),

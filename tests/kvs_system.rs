@@ -348,3 +348,42 @@ fn cache_eviction_replaces_cold_keys() {
         .count();
     assert!(late_hits >= 4, "got {late_hits} cached GETs of the hot key");
 }
+
+#[test]
+fn put_during_pending_fill_neither_clobbers_slot_zero_nor_goes_stale() {
+    // Key 11 is cached first and takes slot 0. Key 22 is never PUT
+    // before its two GETs, so its fill is queued while the store has no
+    // value for it (both GETs answer zeros, counted corrupt on client
+    // 1). A PUT of key 22 reaches the server 20 µs later, well inside
+    // the 120 µs fill delay and before the 50 µs control-plane Idx
+    // insert lands. The PUT must neither write through to the switch —
+    // the kernel would find no Idx entry and overwrite slot 0 — nor
+    // leave the pending fill carrying the pre-PUT value.
+    let (b, a) = (11u64, 22u64);
+    let op = |at: u64, key: u64, put: bool| KvsOp { at, key, put };
+    let setup_ops = vec![
+        op(0, b, true),
+        op(ms(1), b, false),
+        op(ms(2), b, false),
+        op(ms(4), a, false),
+        op(ms(5), a, false),
+        op(ms(5) + 20_000, a, true),
+    ];
+    let check_ops = vec![op(ms(8), a, false), op(ms(9), b, false)];
+    let mut s = setup(true, vec![setup_ops, check_ops]);
+    s.dep.net.run();
+    let server = s.dep.net.host_app::<KvsServer>(HostId(SERVER_ID)).unwrap();
+    assert_eq!(server.cached.get(&b), Some(&0), "key 11 holds slot 0");
+    assert_eq!(server.cached.get(&a), Some(&1), "key 22 holds slot 1");
+    let setup_client = s.dep.net.host_app::<KvsClient>(HostId(1)).unwrap();
+    assert_eq!(setup_client.samples.len(), 6);
+    assert_eq!(setup_client.corrupt, 2, "only the pre-PUT GETs of key 22");
+    let client = s.dep.net.host_app::<KvsClient>(HostId(2)).unwrap();
+    assert_eq!(client.samples.len(), 2);
+    assert_eq!(client.corrupt, 0, "a GET returned a wrong value");
+    assert!(
+        client.samples.iter().all(|x| x.from_cache),
+        "both keys are served by the switch: {:?}",
+        client.samples
+    );
+}
