@@ -3,9 +3,50 @@
 //! rates, retransmission and replay-filter activity, and the headline
 //! acceptance number — the goodput cost of turning reliability on at
 //! 0% loss (budget: ≤15%).
+//!
+//! It also gates the host send path's linearity: on the paced and the
+//! reliable path, the wall cost per window at 4096 windows per worker
+//! must stay within 1.5× of the cost at 128.
 
-use ncl_bench::{run_allreduce_inc, run_allreduce_reliable};
+use ncl_bench::{
+    paired_ratio, run_allreduce_inc, run_allreduce_reliable, time_send_path, PairedRatio, SendPath,
+};
 use netsim::LinkSpec;
+
+/// Windows per worker at the two sizes the linearity gate compares.
+const SMALL_WINDOWS: usize = 128;
+const LARGE_WINDOWS: usize = 4096;
+/// Interleaved small/large pairs behind each linearity ratio.
+const PAIRS: usize = 9;
+/// Largest allowed per-window wall cost at `LARGE_WINDOWS` over the
+/// cost at `SMALL_WINDOWS`. A send that re-split the whole invocation
+/// (O(n) per window) measured ~20–30× here.
+const LINEARITY_BOUND: f64 = 1.5;
+
+/// Per-window wall cost ratio (large over small) of one send path, as
+/// the median of `PAIRS` interleaved pairs. The small arm repeats its
+/// run so both arms send the same number of windows per sample. Every
+/// repeat must reproduce the simulated completion time and wire bytes.
+fn linearity(path: SendPath, nworkers: usize, win: usize) -> PairedRatio {
+    let arm = |windows: usize| {
+        let reps = LARGE_WINDOWS / windows;
+        let (_, completion, bytes) = time_send_path(path, nworkers, windows * win, win);
+        move || {
+            let mut secs = 0.0;
+            for _ in 0..reps {
+                let r = time_send_path(path, nworkers, windows * win, win);
+                assert_eq!(
+                    (r.1, r.2),
+                    (completion, bytes),
+                    "{path:?}: simulated results differ across repeats"
+                );
+                secs += r.0;
+            }
+            secs / (reps * nworkers * windows) as f64
+        }
+    };
+    paired_ratio(PAIRS, arm(SMALL_WINDOWS), arm(LARGE_WINDOWS))
+}
 
 fn main() {
     let nworkers = 4usize;
@@ -75,6 +116,34 @@ fn main() {
             r.switch_dups,
         );
     }
+    println!("\n-- send-path linearity (ns of wall time per window; {PAIRS} interleaved pairs) --");
+    println!(
+        "{:>12} {:>10} {:>10} {:>8} {:>14}",
+        "path", SMALL_WINDOWS, LARGE_WINDOWS, "ratio", "quartiles"
+    );
+    for (name, path) in [
+        ("paced 1 µs", SendPath::Paced(1_000)),
+        ("NCP-R", SendPath::Reliable),
+    ] {
+        let pr = linearity(path, nworkers, win);
+        let pass = pr.median <= LINEARITY_BOUND;
+        println!(
+            "{name:>12} {:>10.0} {:>10.0} {:>7.2}x {:>6.2}..{:<6.2} {}",
+            pr.a_secs * 1e9,
+            pr.b_secs * 1e9,
+            pr.median,
+            pr.quartiles.0,
+            pr.quartiles.1,
+            if pass { "PASS" } else { "FAIL" }
+        );
+        assert!(
+            pass,
+            "{name}: per-window cost grows {:.2}x from {SMALL_WINDOWS} to \
+             {LARGE_WINDOWS} windows per worker (bound {LINEARITY_BOUND}x)",
+            pr.median
+        );
+    }
+
     println!("\nShape check: at 0% loss NCP-R rides the response clock and");
     println!("costs almost nothing; under loss the completion tail is");
     println!("RTO/backoff-dominated (AllReduce is a barrier: one lost window");

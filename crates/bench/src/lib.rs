@@ -48,6 +48,19 @@ pub fn allreduce_program(nworkers: usize, elements: usize, win: usize) -> Compil
 
 /// Runs the in-network AllReduce (E1, INC arm).
 pub fn run_allreduce_inc(nworkers: usize, elements: usize, win: usize) -> AllReduceResult {
+    let mut dep = allreduce_inc_deployment(nworkers, elements, win, 0);
+    dep.net.run();
+    let s1 = dep.switch("s1");
+    AllReduceResult {
+        completion: allreduce_completion(&dep, nworkers),
+        bytes_on_wire: dep.net.stats().bytes_sent,
+        aggregator_ingress: dep.net.node_ingress_bytes(NodeId::Switch(s1)),
+    }
+}
+
+/// The in-network AllReduce deployed and ready to run: every worker
+/// sends its windows `gap` ns apart (0 = blast).
+fn allreduce_inc_deployment(nworkers: usize, elements: usize, win: usize, gap: Time) -> Deployment {
     let program = allreduce_program(nworkers, elements, win);
     let kid = program.kernel_ids["allreduce"];
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
@@ -59,7 +72,7 @@ pub fn run_allreduce_inc(nworkers: usize, elements: usize, win: usize) -> AllRed
             arrays: vec![TypedArray::from_i32(&data)],
             dest: NodeId::Host(HostId(w % nworkers as u16 + 1)),
             start: 0,
-            gap: 0,
+            gap,
         })
         .expect("valid");
         host.bind_incoming(
@@ -81,8 +94,13 @@ pub fn run_allreduce_inc(nworkers: usize, elements: usize, win: usize) -> AllRed
         "nworkers",
         Value::u32(nworkers as u32),
     );
-    dep.net.run();
-    let completion = (1..=nworkers as u16)
+    dep
+}
+
+/// Completion time of a finished AllReduce run: the latest worker's
+/// `done_at`.
+fn allreduce_completion(dep: &Deployment, nworkers: usize) -> Time {
+    (1..=nworkers as u16)
         .map(|w| {
             dep.net
                 .host_app::<NclHost>(HostId(w))
@@ -91,12 +109,7 @@ pub fn run_allreduce_inc(nworkers: usize, elements: usize, win: usize) -> AllRed
                 .expect("completed")
         })
         .max()
-        .expect("workers exist");
-    AllReduceResult {
-        completion,
-        bytes_on_wire: dep.net.stats().bytes_sent,
-        aggregator_ingress: dep.net.node_ingress_bytes(NodeId::Switch(s1)),
-    }
+        .expect("workers exist")
 }
 
 /// Runs the in-network AllReduce end to end on an explicit switch
@@ -253,6 +266,33 @@ pub fn run_allreduce_reliable(
     win: usize,
     link: LinkSpec,
 ) -> ReliableResult {
+    let mut dep = allreduce_reliable_deployment(nworkers, elements, win, link);
+    dep.net.run();
+    let mut retransmits = 0;
+    for w in 1..=nworkers as u16 {
+        let host = dep.net.host_app::<NclHost>(HostId(w)).expect("worker");
+        retransmits += host
+            .sender_stats()
+            .expect("reliability enabled")
+            .retransmits;
+    }
+    ReliableResult {
+        completion: allreduce_completion(&dep, nworkers),
+        bytes_on_wire: dep.net.stats().bytes_sent,
+        payload_bytes: (nworkers * elements * 4) as u64,
+        retransmits,
+        switch_dups: dep.net.switch_dup_suppressed(dep.switch("s1")),
+    }
+}
+
+/// The NCP-R AllReduce of [`run_allreduce_reliable`], deployed and
+/// ready to run.
+fn allreduce_reliable_deployment(
+    nworkers: usize,
+    elements: usize,
+    win: usize,
+    link: LinkSpec,
+) -> Deployment {
     use ncl_core::nclc::ReplayFilter;
     use ncp::ReliableConfig;
     let slots = elements / win;
@@ -321,24 +361,43 @@ pub fn run_allreduce_reliable(
         "nworkers",
         Value::u32(nworkers as u32),
     );
+    dep
+}
+
+/// A host send path E10's linearity gate times.
+#[derive(Clone, Copy, Debug)]
+pub enum SendPath {
+    /// Fire-and-forget windows, one per-window timer every `gap` ns.
+    Paced(Time),
+    /// NCP-R on clean links: most windows leave on the cwnd-release
+    /// path as responses retire earlier ones.
+    Reliable,
+}
+
+/// Runs the Fig. 4 AllReduce over `path` and returns the wall seconds
+/// spent in the simulation loop alone (compile and deploy excluded, so
+/// fixed setup cost does not dilute a per-window figure), plus the
+/// simulated completion time and bytes on the wire.
+pub fn time_send_path(
+    path: SendPath,
+    nworkers: usize,
+    elements: usize,
+    win: usize,
+) -> (f64, Time, u64) {
+    let mut dep = match path {
+        SendPath::Paced(gap) => allreduce_inc_deployment(nworkers, elements, win, gap),
+        SendPath::Reliable => {
+            allreduce_reliable_deployment(nworkers, elements, win, LinkSpec::default())
+        }
+    };
+    let t = std::time::Instant::now();
     dep.net.run();
-    let mut completion = 0;
-    let mut retransmits = 0;
-    for w in 1..=nworkers as u16 {
-        let host = dep.net.host_app::<NclHost>(HostId(w)).expect("worker");
-        completion = completion.max(host.done_at.expect("completed under NCP-R"));
-        retransmits += host
-            .sender_stats()
-            .expect("reliability enabled")
-            .retransmits;
-    }
-    ReliableResult {
-        completion,
-        bytes_on_wire: dep.net.stats().bytes_sent,
-        payload_bytes: (nworkers * elements * 4) as u64,
-        retransmits,
-        switch_dups: dep.net.switch_dup_suppressed(s1),
-    }
+    let secs = t.elapsed().as_secs_f64();
+    (
+        secs,
+        allreduce_completion(&dep, nworkers),
+        dep.net.stats().bytes_sent,
+    )
 }
 
 /// Results of one KVS run (E2).

@@ -198,6 +198,22 @@ impl WindowSpec {
     /// wire order) into windows. Returns the windows in sequence order;
     /// metadata fields other than `seq` are left for the runtime to fill.
     pub fn split(&self, arrays: &[&[u8]]) -> Result<Vec<Window>, WindowError> {
+        let n = self.count(arrays)?;
+        Ok((0..n).map(|w| self.cut(arrays, w, n)).collect())
+    }
+
+    /// Window `w` of `arrays`: exactly `split(arrays)[w]`, cut without
+    /// touching the other windows, so one send costs O(1) in the
+    /// invocation size. `None` past the last window or when `split`
+    /// would reject the arrays.
+    pub fn window(&self, arrays: &[&[u8]], w: usize) -> Option<Window> {
+        let n = self.count(arrays).ok()?;
+        (w < n).then(|| self.cut(arrays, w, n))
+    }
+
+    /// Number of windows `arrays` split into, after checking arity,
+    /// element alignment and that every array tiles the same count.
+    fn count(&self, arrays: &[&[u8]]) -> Result<usize, WindowError> {
         if arrays.len() != self.elem_types.len() {
             return Err(WindowError::MaskArity {
                 mask: self.mask.arity(),
@@ -214,8 +230,7 @@ impl WindowSpec {
                     elem,
                 });
             }
-            let chunk = self.chunk_bytes(i);
-            let n = a.len().div_ceil(chunk);
+            let n = a.len().div_ceil(self.chunk_bytes(i));
             match nwindows {
                 None => nwindows = Some(n),
                 Some(expected) if expected != n => {
@@ -228,30 +243,33 @@ impl WindowSpec {
                 _ => {}
             }
         }
-        let nwindows = nwindows.unwrap_or(0);
-        let mut out = Vec::with_capacity(nwindows);
-        for w in 0..nwindows {
-            let mut chunks = Vec::with_capacity(arrays.len());
-            for (i, a) in arrays.iter().enumerate() {
+        Ok(nwindows.unwrap_or(0))
+    }
+
+    /// Cuts window `w` of `n` from arrays [`WindowSpec::count`] accepted.
+    fn cut(&self, arrays: &[&[u8]], w: usize, n: usize) -> Window {
+        let chunks = arrays
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
                 let chunk = self.chunk_bytes(i);
                 let start = w * chunk;
                 let end = (start + chunk).min(a.len());
-                chunks.push(Chunk {
+                Chunk {
                     offset: start as u32,
                     data: a[start..end].to_vec(),
-                });
-            }
-            out.push(Window {
-                kernel: KernelId(0),
-                seq: w as u32,
-                sender: HostId(0),
-                from: NodeId::Host(HostId(0)),
-                last: w + 1 == nwindows,
-                chunks,
-                ext: Vec::new(),
-            });
+                }
+            })
+            .collect();
+        Window {
+            kernel: KernelId(0),
+            seq: w as u32,
+            sender: HostId(0),
+            from: NodeId::Host(HostId(0)),
+            last: w + 1 == n,
+            chunks,
+            ext: Vec::new(),
         }
-        Ok(out)
     }
 
     /// Reassembles windows into full arrays (the inverse of
@@ -371,6 +389,7 @@ impl Window {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn be_u32s(vals: &[u32]) -> Vec<u8> {
         vals.iter().flat_map(|v| v.to_be_bytes()).collect()
@@ -517,6 +536,50 @@ mod tests {
             w.ext_read(ScalarType::U16, 2),
             Value::new(ScalarType::U16, 0xBEEF)
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `window(a, w)` is `split(a)[w]` for every `w` (ragged tails
+        /// included) and `None` one past the end.
+        #[test]
+        fn window_matches_split(
+            arrays in prop::collection::vec(
+                (prop::sample::select(ScalarType::ALL.to_vec()), 1u16..=5, 0u16..5),
+                1..=3,
+            ),
+            nwin in 0usize..=6,
+            fill in any::<u8>(),
+        ) {
+            let types: Vec<ScalarType> = arrays.iter().map(|a| a.0).collect();
+            let mask = Mask::new(arrays.iter().map(|a| a.1).collect::<Vec<u16>>());
+            let spec = WindowSpec::new(types, mask).unwrap();
+            let bytes: Vec<Vec<u8>> = arrays
+                .iter()
+                .map(|&(ty, m, short)| {
+                    let elems = (nwin * m as usize).saturating_sub((short % m) as usize);
+                    (0..elems * ty.size()).map(|b| (b as u8).wrapping_mul(fill)).collect()
+                })
+                .collect();
+            let slices: Vec<&[u8]> = bytes.iter().map(|b| &b[..]).collect();
+            let split = spec.split(&slices).unwrap();
+            prop_assert_eq!(split.len(), nwin);
+            for (w, expected) in split.iter().enumerate() {
+                prop_assert_eq!(spec.window(&slices, w), Some(expected.clone()));
+            }
+            prop_assert_eq!(spec.window(&slices, split.len()), None);
+        }
+    }
+
+    #[test]
+    fn window_rejects_what_split_rejects() {
+        let spec =
+            WindowSpec::new(vec![ScalarType::U32, ScalarType::U32], Mask::new([2, 2])).unwrap();
+        let a = be_u32s(&[1, 2, 3, 4]);
+        let b = be_u32s(&[1, 2]);
+        assert_eq!(spec.window(&[&a, &b], 0), None);
+        assert_eq!(spec.window(&[&a], 0), None);
     }
 
     #[test]

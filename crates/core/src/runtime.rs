@@ -16,6 +16,7 @@
 //!   host memory (the `while (!done)` loop of the paper's Fig. 4).
 
 use crate::nclc::CompiledProgram;
+use c3::window::WindowError;
 use c3::{HostId, KernelId, Mask, NodeId, ScalarType, Value, Window, WindowSpec};
 use ncl_ir::ir::{KernelIr, Module};
 use ncl_ir::{CompiledKernel, ExecScratch, HostMemory};
@@ -42,14 +43,14 @@ pub const RELIABLE_TIMER: u64 = 1 << 63;
 pub const EVICTION_STORM_THRESHOLD: u64 = 8;
 
 /// NCP-R state of one host: the transport engine plus the bookkeeping
-/// needed to re-encode any tracked window on retransmission.
+/// needed to re-cut any tracked window on retransmission.
 struct Reliability {
     sender: RelSender,
     receiver: RelReceiver,
     /// `(kernel id, seq)` → `(invocation index, window index)`: where
-    /// to re-split a tracked window's bytes from. Retransmission
-    /// re-encodes from the application arrays, so no per-window byte
-    /// copies are retained.
+    /// to cut a tracked window's bytes from. Every send slices its one
+    /// window from the application arrays, so no per-window byte copies
+    /// are retained.
     wire_index: HashMap<(u16, u32), (usize, usize)>,
     /// Earliest armed RTO timer (suppresses redundant timer events).
     armed: Option<Time>,
@@ -155,7 +156,7 @@ pub enum RuntimeError {
     /// Unknown kernel name.
     UnknownKernel(String),
     /// Array/mask mismatch.
-    Window(c3::window::WindowError),
+    Window(WindowError),
     /// The program compiled this kernel against a different element
     /// type.
     ElemType {
@@ -321,24 +322,7 @@ impl NclHost {
             .runtimes
             .get(&inv.kernel)
             .ok_or_else(|| RuntimeError::UnknownKernel(inv.kernel.clone()))?;
-        if inv.arrays.len() != rt.spec.elem_types.len() {
-            return Err(RuntimeError::Window(c3::window::WindowError::MaskArity {
-                mask: rt.spec.mask.arity(),
-                arrays: inv.arrays.len(),
-            }));
-        }
-        for (i, a) in inv.arrays.iter().enumerate() {
-            if a.elem != rt.spec.elem_types[i] {
-                return Err(RuntimeError::ElemType {
-                    param: i,
-                    expected: rt.spec.elem_types[i],
-                    got: a.elem,
-                });
-            }
-            if a.bytes.len() % rt.spec.chunk_bytes(i) != 0 {
-                return Err(RuntimeError::PartialWindow { param: i });
-            }
-        }
+        check_arrays(&rt.spec, &inv.arrays)?;
         self.outs.push(inv);
         Ok(self)
     }
@@ -627,41 +611,58 @@ impl NclHost {
         }
     }
 
+    /// Windows in invocation `idx` (its arrays passed [`check_arrays`]
+    /// in [`NclHost::out`]).
+    fn nwindows(&self, idx: usize) -> usize {
+        let inv = &self.outs[idx];
+        check_arrays(&self.runtimes[&inv.kernel].spec, &inv.arrays)
+            .expect("validated at out() time")
+    }
+
     fn launch(&mut self, ctx: &mut HostCtx, idx: usize) {
-        let inv = self.outs[idx].clone();
+        for wi in 0..self.nwindows(idx) {
+            self.offer(ctx, idx, wi);
+        }
+        self.pump(ctx);
+    }
+
+    /// Hands window `wi` of invocation `idx` to the transport. With
+    /// NCP-R the sender tracks it first and may queue it until the
+    /// congestion window opens ([`NclHost::pump`] releases it).
+    fn offer(&mut self, ctx: &mut HostCtx, idx: usize, wi: usize) {
+        if let Some(r) = &mut self.reliable {
+            let kernel = self.runtimes[&self.outs[idx].kernel].id;
+            r.wire_index.insert((kernel, wi as u32), (idx, wi));
+            if !r.sender.track(kernel, wi as u32, ctx.now) {
+                return;
+            }
+        }
+        self.transmit(ctx, idx, wi);
+    }
+
+    /// Sends window `wi` of invocation `idx`: cuts that one window from
+    /// the application arrays (O(1) in the invocation size), stamps and
+    /// encodes it, and puts it on the wire. First sends, paced sends,
+    /// cwnd releases and retransmits all come through here, so each
+    /// transmission passes the telemetry sampler.
+    fn transmit(&mut self, ctx: &mut HostCtx, idx: usize, wi: usize) {
+        let inv = &self.outs[idx];
         let rt = &self.runtimes[&inv.kernel];
-        let rid = rt.id;
         let arrays: Vec<&[u8]> = inv.arrays.iter().map(|a| &a.bytes[..]).collect();
-        let windows = rt.spec.split(&arrays).expect("validated at out() time");
-        let me = NodeId::Host(ctx.host);
-        for (i, mut w) in windows.into_iter().enumerate() {
-            w.kernel = KernelId(rid);
-            w.sender = ctx.host;
-            w.from = me;
-            if inv.gap != 0 {
-                // Pace via timers: tokens encode (invocation, window).
-                // For simplicity the paced path re-splits on fire.
-                let token = ((idx as u64) << 32) | (i as u64 + 1);
-                ctx.set_timer(inv.gap * i as Time, token);
-                continue;
-            }
-            if let Some(r) = &mut self.reliable {
-                r.wire_index.insert((rid, w.seq), (idx, i));
-                if !r.sender.track(rid, w.seq, ctx.now) {
-                    continue; // queued until the congestion window opens
-                }
-            }
-            let seq = w.seq;
-            let bytes = self.encode_frame(&w);
-            self.note_sent(rid, seq, ctx.now);
-            self.emit_sent(ctx.host, rid, seq, ctx.now);
-            ctx.send(inv.dest, bytes);
-            self.windows_sent += 1;
-            self.m_windows_sent.inc();
-        }
-        if self.reliable.is_some() {
-            self.pump(ctx);
-        }
+        let mut w = rt
+            .spec
+            .window(&arrays, wi)
+            .expect("window index within a validated invocation");
+        let dest = inv.dest;
+        w.kernel = KernelId(rt.id);
+        w.sender = ctx.host;
+        w.from = NodeId::Host(ctx.host);
+        let bytes = self.encode_frame(&w);
+        self.note_sent(w.kernel.0, w.seq, ctx.now);
+        self.emit_sent(ctx.host, w.kernel.0, w.seq, ctx.now);
+        ctx.send(dest, bytes);
+        self.windows_sent += 1;
+        self.m_windows_sent.inc();
     }
 
     /// Drives the NCP-R sender: retransmits due windows, releases
@@ -670,14 +671,9 @@ impl NclHost {
     fn pump(&mut self, ctx: &mut HostCtx) {
         let Some(r) = &mut self.reliable else { return };
         let (due, next) = r.sender.poll(ctx.now);
-        let sends: Vec<((u16, u32), (usize, usize))> = due
+        let sends: Vec<(usize, usize)> = due
             .iter()
-            .filter_map(|&(kernel, seq)| {
-                r.wire_index
-                    .get(&(kernel, seq))
-                    .copied()
-                    .map(|iw| ((kernel, seq), iw))
-            })
+            .filter_map(|key| r.wire_index.get(key).copied())
             .collect();
         if let Some(deadline) = next {
             if r.armed.is_none_or(|t| deadline < t) {
@@ -685,32 +681,10 @@ impl NclHost {
                 ctx.set_timer(deadline.saturating_sub(ctx.now).max(1), RELIABLE_TIMER);
             }
         }
-        for ((kernel, seq), (idx, wi)) in sends {
-            if let Some((dest, bytes)) = self.window_bytes(ctx.host, idx, wi) {
-                self.note_sent(kernel, seq, ctx.now);
-                self.emit_sent(ctx.host, kernel, seq, ctx.now);
-                ctx.send(dest, bytes);
-                self.windows_sent += 1;
-                self.m_windows_sent.inc();
-            }
+        for (idx, wi) in sends {
+            self.transmit(ctx, idx, wi);
         }
         self.check_failure_triggers(ctx.host, ctx.now);
-    }
-
-    /// Re-encodes window `wi` of invocation `idx` (the NCP-R
-    /// retransmission path re-splits from the application arrays).
-    /// Retransmits go through the telemetry sampler like first
-    /// transmissions — a retransmitted window may carry a fresh section.
-    fn window_bytes(&mut self, host: HostId, idx: usize, wi: usize) -> Option<(NodeId, Vec<u8>)> {
-        let inv = self.outs.get(idx)?;
-        let rt = self.runtimes.get(&inv.kernel)?;
-        let arrays: Vec<&[u8]> = inv.arrays.iter().map(|a| &a.bytes[..]).collect();
-        let mut w = rt.spec.split(&arrays).ok()?.into_iter().nth(wi)?;
-        w.kernel = KernelId(rt.id);
-        w.sender = host;
-        w.from = NodeId::Host(host);
-        let dest = inv.dest;
-        Some((dest, self.encode_frame(&w)))
     }
 
     /// Encodes one outgoing window, appending an empty telemetry
@@ -806,13 +780,12 @@ impl HostApp for NclHost {
             } else if self.outs[i].gap == 0 {
                 ctx.set_timer(self.outs[i].start, (i as u64) << 32);
             } else {
-                // Paced: schedule per-window timers from `start`.
-                let inv = &self.outs[i];
-                let rt = &self.runtimes[&inv.kernel];
-                let nwin = inv.arrays[0].bytes.len() / rt.spec.chunk_bytes(0);
-                for wi in 0..nwin {
+                // Paced: per-window timers from `start`; tokens encode
+                // (invocation, window + 1).
+                let (start, gap) = (self.outs[i].start, self.outs[i].gap);
+                for wi in 0..self.nwindows(i) {
                     let token = ((i as u64) << 32) | (wi as u64 + 1);
-                    ctx.set_timer(inv.start + inv.gap * wi as Time, token);
+                    ctx.set_timer(start + gap * wi as Time, token);
                 }
             }
         }
@@ -866,37 +839,13 @@ impl HostApp for NclHost {
         let idx = (token >> 32) as usize;
         let wi = (token & 0xFFFF_FFFF) as usize;
         if wi == 0 {
+            // A delayed unpaced invocation (armed only when gap == 0).
             self.launch(ctx, idx);
             return;
         }
-        // Paced single window.
-        let inv = self.outs[idx].clone();
-        let rt = &self.runtimes[&inv.kernel];
-        let rid = rt.id;
-        let arrays: Vec<&[u8]> = inv.arrays.iter().map(|a| &a.bytes[..]).collect();
-        let windows = rt.spec.split(&arrays).expect("validated");
-        if let Some(mut w) = windows.into_iter().nth(wi - 1) {
-            w.kernel = KernelId(rid);
-            w.sender = ctx.host;
-            w.from = NodeId::Host(ctx.host);
-            if let Some(r) = &mut self.reliable {
-                r.wire_index.insert((rid, w.seq), (idx, wi - 1));
-                if !r.sender.track(rid, w.seq, ctx.now) {
-                    self.pump(ctx);
-                    return; // queued until the congestion window opens
-                }
-            }
-            let seq = w.seq;
-            let bytes = self.encode_frame(&w);
-            self.note_sent(rid, seq, ctx.now);
-            self.emit_sent(ctx.host, rid, seq, ctx.now);
-            ctx.send(inv.dest, bytes);
-            self.windows_sent += 1;
-            self.m_windows_sent.inc();
-        }
-        if self.reliable.is_some() {
-            self.pump(ctx);
-        }
+        // Paced: token `wi` carries window `wi - 1`.
+        self.offer(ctx, idx, wi - 1);
+        self.pump(ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -924,24 +873,7 @@ pub fn invocation_packets(
     let rt = runtimes
         .get(kernel)
         .ok_or_else(|| RuntimeError::UnknownKernel(kernel.to_string()))?;
-    if arrays.len() != rt.spec.elem_types.len() {
-        return Err(RuntimeError::Window(c3::window::WindowError::MaskArity {
-            mask: rt.spec.mask.arity(),
-            arrays: arrays.len(),
-        }));
-    }
-    for (i, a) in arrays.iter().enumerate() {
-        if a.elem != rt.spec.elem_types[i] {
-            return Err(RuntimeError::ElemType {
-                param: i,
-                expected: rt.spec.elem_types[i],
-                got: a.elem,
-            });
-        }
-        if a.bytes.len() % rt.spec.chunk_bytes(i) != 0 {
-            return Err(RuntimeError::PartialWindow { param: i });
-        }
-    }
+    check_arrays(&rt.spec, arrays)?;
     let slices: Vec<&[u8]> = arrays.iter().map(|a| &a.bytes[..]).collect();
     let windows = rt.spec.split(&slices).map_err(RuntimeError::Window)?;
     let ext_total = program.checked.window_ext.size();
@@ -954,6 +886,45 @@ pub fn invocation_packets(
             encode_window(&w, ext_total)
         })
         .collect())
+}
+
+/// Checks an invocation's arrays against its kernel's window spec
+/// (arity, element types, whole windows, and one window count across
+/// all arrays) and returns that count.
+fn check_arrays(spec: &WindowSpec, arrays: &[TypedArray]) -> Result<usize, RuntimeError> {
+    if arrays.len() != spec.elem_types.len() {
+        return Err(RuntimeError::Window(WindowError::MaskArity {
+            mask: spec.mask.arity(),
+            arrays: arrays.len(),
+        }));
+    }
+    let mut count = None;
+    for (i, a) in arrays.iter().enumerate() {
+        if a.elem != spec.elem_types[i] {
+            return Err(RuntimeError::ElemType {
+                param: i,
+                expected: spec.elem_types[i],
+                got: a.elem,
+            });
+        }
+        let chunk = spec.chunk_bytes(i);
+        if a.bytes.len() % chunk != 0 {
+            return Err(RuntimeError::PartialWindow { param: i });
+        }
+        let n = a.bytes.len() / chunk;
+        match count {
+            None => count = Some(n),
+            Some(expected) if expected != n => {
+                return Err(RuntimeError::Window(WindowError::WindowCountMismatch {
+                    expected,
+                    got: n,
+                    array: i,
+                }))
+            }
+            _ => {}
+        }
+    }
+    Ok(count.unwrap_or(0))
 }
 
 /// Finds a kernel in a module by name (any kind).
@@ -1039,6 +1010,41 @@ _net_ _in_ void r(int *data, _ext_ int *hdata, _ext_ bool *done) {
             gap: 0,
         })
         .unwrap();
+    }
+
+    #[test]
+    fn out_rejects_unequal_window_counts() {
+        // `query` takes a key, 8 value words and a flag per window: 2
+        // keys tile 2 windows but 8 values only 1.
+        let and = "hosts client 2\nswitch s1\nhost server\nlink client* s1\nlink server s1\n";
+        let mut cfg = CompileConfig::default();
+        cfg.masks.insert("query".into(), vec![1, 8, 1]);
+        let p = compile(&crate::apps::kvs_source(3, 16, 8), and, &cfg).expect("compiles");
+        let mut h = NclHost::new(&p);
+        let Err(err) = h.out(OutInvocation {
+            kernel: "query".into(),
+            arrays: vec![
+                TypedArray::from_u64(&[1, 2]),
+                TypedArray::from_u32(&[0; 8]),
+                TypedArray {
+                    elem: ScalarType::Bool,
+                    bytes: vec![0, 0],
+                },
+            ],
+            dest: NodeId::Host(HostId(3)),
+            start: 0,
+            gap: 0,
+        }) else {
+            panic!("expected WindowCountMismatch");
+        };
+        assert_eq!(
+            err,
+            RuntimeError::Window(WindowError::WindowCountMismatch {
+                expected: 2,
+                got: 1,
+                array: 1,
+            })
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! counterexamples exactly.
 
 use nctel::{Counter, Registry, Scope, ScopeEvent, WindowKey};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Nanosecond timestamps, matching netsim's `Time`.
 pub type Time = u64;
@@ -112,7 +112,7 @@ pub struct Sender {
     cfg: ReliableConfig,
     flight: HashMap<Key, InFlight>,
     /// Launch-ready windows the cwnd has not admitted yet, FIFO.
-    queue: Vec<Key>,
+    queue: VecDeque<Key>,
     /// Current congestion window.
     cwnd: usize,
     /// Additive-increase accumulator (acks since last growth).
@@ -138,7 +138,7 @@ impl Sender {
             cwnd: cfg.cwnd.max(1),
             cfg,
             flight: HashMap::new(),
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             acks_since_grow: 0,
             tracked: Counter::new(),
             retransmits: Counter::new(),
@@ -222,7 +222,7 @@ impl Sender {
             );
             true
         } else {
-            self.queue.push(key);
+            self.queue.push_back(key);
             false
         }
     }
@@ -412,12 +412,10 @@ impl Sender {
             send.push((key.kernel, key.seq));
         }
         // Admit queued windows into whatever capacity is open.
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.flight.len() >= self.cap() {
+        while self.flight.len() < self.cap() {
+            let Some(key) = self.queue.pop_front() else {
                 break;
-            }
-            let key = self.queue.remove(i);
+            };
             self.flight.insert(
                 key,
                 InFlight {
@@ -427,7 +425,6 @@ impl Sender {
                 },
             );
             send.push((key.kernel, key.seq));
-            i = 0; // removal shifted the queue; restart scan
         }
         let next = self.flight.values().map(|f| f.deadline).min();
         (send, next)
