@@ -25,7 +25,7 @@
 //! both land under crates/bench/).
 
 use c3::{HostId, NodeId, ScalarType, Value};
-use ncl_bench::rule;
+use ncl_bench::{paired_ratio, rule};
 use ncl_core::apps::allreduce_source;
 use ncl_core::deploy::{DeployOptions, SwitchBackend};
 use ncl_core::{
@@ -58,6 +58,9 @@ const T_END: u64 = 600_000;
 /// Detection-latency gate: first incident within this many ticks of
 /// the fault.
 const DETECT_BUDGET: u64 = 8;
+/// Interleaved bare/watched pairs behind the (informational) healthy-run
+/// wall-clock overhead.
+const OVERHEAD_PAIRS: usize = 21;
 
 fn ar_program(base: u16) -> CompiledProgram {
     let mut cfg = CompileConfig::default();
@@ -405,31 +408,40 @@ fn main() {
          detection budget {DETECT_BUDGET} ticks\n"
     );
 
-    // 1 — healthy control + overhead (best of 3 each way).
-    let mut bare_ms = f64::MAX;
-    let mut watched_ms = f64::MAX;
+    // 1 — healthy control + overhead (median of interleaved pairs).
     let mut bare_goodput = 0;
     let mut watched = None;
-    for _ in 0..3 {
-        let b = run_healthy(false);
-        bare_ms = bare_ms.min(b.wall_ms);
-        bare_goodput = b.goodput;
-        let w = run_healthy(true);
-        watched_ms = watched_ms.min(w.wall_ms);
-        watched = Some(w);
-    }
+    let pr = paired_ratio(
+        OVERHEAD_PAIRS,
+        || {
+            let b = run_healthy(false);
+            bare_goodput = b.goodput;
+            b.wall_ms / 1e3
+        },
+        || {
+            let w = run_healthy(true);
+            assert_eq!(w.incidents, 0, "false positives on the healthy run");
+            let secs = w.wall_ms / 1e3;
+            watched = Some(w);
+            secs
+        },
+    );
     let watched = watched.unwrap();
-    assert_eq!(watched.incidents, 0, "false positives on the healthy run");
     assert!(
         watched.goodput * 50 >= bare_goodput * 49,
         "watch cost goodput: {} vs {bare_goodput}",
         watched.goodput
     );
-    let wall_overhead_pct = (watched_ms / bare_ms - 1.0) * 100.0;
+    let (bare_ms, watched_ms) = (pr.a_secs * 1e3, pr.b_secs * 1e3);
+    let wall_overhead_pct = (pr.median - 1.0) * 100.0;
     println!(
         "healthy control: {} windows acked, {} ticks, 0 incidents; \
-         wall {watched_ms:.1}ms watched vs {bare_ms:.1}ms bare ({wall_overhead_pct:+.1}%)",
-        watched.goodput, watched.ticks
+         wall {watched_ms:.1}ms watched vs {bare_ms:.1}ms bare ({wall_overhead_pct:+.1}%, \
+         median of {OVERHEAD_PAIRS} interleaved pairs, quartiles {:+.1}%..{:+.1}%)",
+        watched.goodput,
+        watched.ticks,
+        (pr.quartiles.0 - 1.0) * 100.0,
+        (pr.quartiles.1 - 1.0) * 100.0
     );
 
     // 2 — degrading link, twice for byte-identical reports.

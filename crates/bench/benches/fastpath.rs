@@ -3,7 +3,11 @@
 //! paper's example kernels, plus the end-to-end packet path (decode →
 //! execute → encode) the way a software switch runs it. The table also
 //! reports the ncvec SIMD tier (DESIGN §4.11) so E9 and E13 share one
-//! baseline; E13 (`benches/e13.rs`) is the tier-focused experiment.
+//! baseline; E13 (`benches/e13.rs`) is the tier-focused experiment. One
+//! informational row, `allreduce_in256`, times the host side: Fig. 4's
+//! `_in_` kernel copying a 256-element result window into host memory
+//! (`run_incoming`; ncvec does not take that run, so its two compiled
+//! columns match).
 //!
 //! The fast path lowers `KernelIr` once into a linear, slot-resolved
 //! micro-op program and executes it against a reusable scratch with
@@ -17,7 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ncl_core::apps::{allreduce_source, kvs_source};
 use ncl_core::{compile, CompileConfig, CompiledProgram};
 use ncl_ir::ir::KernelIr;
-use ncl_ir::{CompiledKernel, ExecScratch, Interpreter, MapId, SwitchState};
+use ncl_ir::{CompiledKernel, ExecScratch, HostMemory, Interpreter, MapId, SwitchState};
 use ncp::codec::{decode_window_into, encode_window_into, BufferPool};
 use std::hint::black_box;
 use std::time::Instant;
@@ -158,6 +162,58 @@ fn run_fast(
     }
 }
 
+/// Median over 7 samples of `f`'s wall time per window, each sample 200
+/// passes over `windows` windows.
+fn median_ns(windows: usize, f: &mut dyn FnMut()) -> u64 {
+    let mut samples: Vec<u64> = (0..7)
+        .map(|_| {
+            let reps = 200;
+            let t = Instant::now();
+            for _ in 0..reps {
+                f();
+            }
+            t.elapsed().as_nanos() as u64 / (reps * windows) as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[3]
+}
+
+/// The `allreduce_in256` row: the host-side `_in_` kernel of Fig. 4
+/// (`result`) delivering eight 256-element windows into host memory,
+/// compiled from the generic module the way `NclHost` binds it.
+fn incoming_row() -> (String, u64, u64, u64) {
+    const WIN: usize = 256;
+    let case = allreduce_case("allreduce_in256", WIN);
+    let k =
+        &ncl_core::runtime::module_kernel(&case.program.generic, "result").expect("result kernel");
+    let ext = [(ScalarType::I32, 8 * WIN), (ScalarType::Bool, 1)];
+    let mut windows: Vec<Window> = case
+        .windows
+        .into_iter()
+        .filter(|w| w.sender == HostId(1))
+        .collect();
+    let it = Interpreter::default();
+    let mut mem = HostMemory::new(&ext);
+    let ns_interp = median_ns(windows.len(), &mut || {
+        for w in windows.iter_mut() {
+            let _ = black_box(it.run_incoming(k, w, &mut mem));
+        }
+    });
+    let mut scratch = ExecScratch::new();
+    let mut tier = |ck: CompiledKernel| {
+        let mut mem = HostMemory::new(&ext);
+        median_ns(windows.len(), &mut || {
+            for w in windows.iter_mut() {
+                let _ = black_box(ck.run_incoming(w, &mut mem, &mut scratch));
+            }
+        })
+    };
+    let ns_fast = tier(CompiledKernel::compile(k).with_simd(false));
+    let ns_simd = tier(CompiledKernel::compile(k));
+    (case.name.to_string(), ns_interp, ns_fast, ns_simd)
+}
+
 /// The E9 speedup table: median ns/window for all three tiers. The
 /// "fastpath" column is the scalar micro-op tier (`with_simd(false)`);
 /// the "simd" column is the ncvec tier at the detected level. Returns
@@ -168,7 +224,7 @@ fn speedup_table(cases: &[Case]) -> Vec<(String, u64, u64, u64)> {
         ncl_ir::ncvec::level()
     );
     println!(
-        "{:>12} {:>14} {:>14} {:>14} {:>9} {:>9}",
+        "{:>15} {:>14} {:>14} {:>14} {:>9} {:>9}",
         "kernel", "interp", "fastpath", "simd", "fast/int", "simd/fast"
     );
     let mut rows = Vec::new();
@@ -179,20 +235,7 @@ fn speedup_table(cases: &[Case]) -> Vec<(String, u64, u64, u64)> {
         let simd = CompiledKernel::compile_for(k, module);
         let it = Interpreter::default();
         let mut scratch = ExecScratch::new();
-        let median = |f: &mut dyn FnMut()| {
-            let mut samples: Vec<u64> = (0..7)
-                .map(|_| {
-                    let reps = 200;
-                    let t = Instant::now();
-                    for _ in 0..reps {
-                        f();
-                    }
-                    t.elapsed().as_nanos() as u64 / (reps * case.windows.len()) as u64
-                })
-                .collect();
-            samples.sort_unstable();
-            samples[3]
-        };
+        let median = |f: &mut dyn FnMut()| median_ns(case.windows.len(), f);
         let mut s_i = fresh_state(case);
         let mut w_i = case.windows.clone();
         let ns_interp = median(&mut || run_interp(&it, k, &mut s_i, &mut w_i));
@@ -202,18 +245,26 @@ fn speedup_table(cases: &[Case]) -> Vec<(String, u64, u64, u64)> {
         let mut s_v = fresh_state(case);
         let mut w_v = case.windows.clone();
         let ns_simd = median(&mut || run_fast(&simd, &mut s_v, &mut scratch, &mut w_v));
-        println!(
-            "{:>12} {:>11} ns {:>11} ns {:>11} ns {:>8.1}x {:>8.2}x",
-            case.name,
-            ns_interp,
-            ns_fast,
-            ns_simd,
-            ns_interp as f64 / ns_fast.max(1) as f64,
-            ns_fast as f64 / ns_simd.max(1) as f64
-        );
-        rows.push((case.name.to_string(), ns_interp, ns_fast, ns_simd));
+        let row = (case.name.to_string(), ns_interp, ns_fast, ns_simd);
+        print_row(&row);
+        rows.push(row);
     }
+    let row = incoming_row();
+    print_row(&row);
+    rows.push(row);
     rows
+}
+
+fn print_row((name, interp, fast, simd): &(String, u64, u64, u64)) {
+    println!(
+        "{:>15} {:>11} ns {:>11} ns {:>11} ns {:>8.1}x {:>8.2}x",
+        name,
+        interp,
+        fast,
+        simd,
+        *interp as f64 / (*fast).max(1) as f64,
+        *fast as f64 / (*simd).max(1) as f64
+    );
 }
 
 /// Writes the E9 metrics artifact CI uploads, matching the shape of

@@ -339,6 +339,9 @@ enum Op {
     VecRegToWin(Box<VecOp>),
     /// `arr[(base+c) & amask] = win[param][c]` for a run of `n` groups.
     VecWinToReg(Box<VecOp>),
+    /// `host[arr][base+c] = win[param][c]` for a run of `n` groups (an
+    /// `_in_` kernel's copy into host memory; not an ncvec run).
+    VecWinToHost(Box<VecOp>),
     // -------- control flow (targets are instruction offsets) --------
     Jmp {
         target: u32,
@@ -365,17 +368,18 @@ enum Op {
 /// A fused run of unrolled element-wise groups, the shape the loop
 /// unroller leaves behind for `accum[base+i] += data[i]`-style bodies:
 /// repeated `index-add / LdReg / LdWin / Add / StReg` (or the two copy
-/// directions) with consecutive constant chunk indices. One dispatch
+/// directions, or an `_in_` kernel's `hdata[base+i] = data[i]` copy into
+/// host memory) with consecutive constant chunk indices. One dispatch
 /// executes the whole run as a tight native loop; the intermediate
 /// virtual registers are elided entirely (fusion proves nothing outside
 /// the run reads them).
 ///
 /// Iteration `i` touches chunk element `c = idx0 + i` and register slot
-/// `((base + c) & imask) & amask`, mirroring the scalar ops bit for
-/// bit. When `head_cost < cost`, the first group has no leading index
-/// add (the unroller uses the base register directly), so iteration 0
-/// uses the base bits unmasked, exactly as the scalar `LdReg`/`StReg`
-/// would.
+/// `((base + c) & imask) & amask` (host runs: element `(base + c) &
+/// imask`, no wrap), mirroring the scalar ops bit for bit. When
+/// `head_cost < cost`, the first group has no leading index add (the
+/// unroller uses the base register directly), so iteration 0 uses the
+/// base bits unmasked, exactly as the scalar `LdReg`/`StReg` would.
 ///
 /// Step accounting stays exact under `counted`: the run charges the
 /// same per-instruction budget the interpreter would, and on exhaustion
@@ -394,8 +398,8 @@ pub(crate) struct VecOp {
     pub(crate) arr: u32,
     /// Register slot mask (power-of-two array length minus one).
     pub(crate) amask: u32,
-    /// Virtual register holding the base index.
-    pub(crate) base: u32,
+    /// Where the base index comes from.
+    pub(crate) base: Base,
     /// Width mask of the index-add type.
     pub(crate) imask: u64,
     /// Accumulate type (`VecAccum` only; both operands proven).
@@ -409,19 +413,44 @@ pub(crate) struct VecOp {
     pub(crate) head_cost: u32,
 }
 
+/// The base index of a fused run.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum Base {
+    /// A virtual register.
+    Reg(u32),
+    /// `window.seq * scale` at the Mul's type (`mask` is its width mask):
+    /// every group of the run recomputes it (`LdSeq; Mul`), so the fused
+    /// op computes it once from the window (`VecWinToHost` only).
+    Seq { scale: u64, mask: u64 },
+}
+
 impl VecOp {
-    /// Register slot for iteration `i` (chunk element `idx0 + i`),
-    /// mirroring the scalar index add: iteration 0 of a headless run
-    /// uses the base bits without the index-type mask, exactly as the
-    /// scalar `LdReg`/`StReg` reads the base register directly.
+    /// The run's base bits, as the scalar ops would see them.
     #[inline(always)]
-    pub(crate) fn slot(&self, base_bits: u64, i: u32) -> usize {
-        let k = if i == 0 && self.head_cost < self.cost {
+    fn base_bits(&self, regs: &[Value], seq: u32) -> u64 {
+        match self.base {
+            Base::Reg(r) => regs[r as usize].bits(),
+            Base::Seq { scale, mask } => (seq as u64).wrapping_mul(scale) & mask,
+        }
+    }
+
+    /// Index for iteration `i` (chunk element `idx0 + i`), mirroring the
+    /// scalar index add: iteration 0 of a headless run uses the base bits
+    /// without the index-type mask, exactly as the scalar load/store
+    /// reads the base register directly.
+    #[inline(always)]
+    fn index(&self, base_bits: u64, i: u32) -> u64 {
+        if i == 0 && self.head_cost < self.cost {
             base_bits
         } else {
             base_bits.wrapping_add((self.idx0 + i) as u64) & self.imask
-        };
-        k as usize & self.amask as usize
+        }
+    }
+
+    /// Register slot for iteration `i`: the index wrapped to the array.
+    #[inline(always)]
+    pub(crate) fn slot(&self, base_bits: u64, i: u32) -> usize {
+        self.index(base_bits, i) as usize & self.amask as usize
     }
 }
 
@@ -629,6 +658,46 @@ fn vec_win_to_reg_fast<const N: usize>(
     }
 }
 
+/// `host[k] = win[c]` over a fused run, with `StHost`'s semantics per
+/// element: an index past the host array drops the store, a missing or
+/// short chunk reads as zero, and the value is cast to the slot's type.
+fn vec_win_to_host(v: &VecOp, m: u32, base_bits: u64, host: &mut [Value], chunk: Option<&Chunk>) {
+    match v.wty.size() {
+        1 => vec_win_to_host_fast::<1>(v, m, base_bits, host, chunk),
+        2 => vec_win_to_host_fast::<2>(v, m, base_bits, host, chunk),
+        4 => vec_win_to_host_fast::<4>(v, m, base_bits, host, chunk),
+        _ => vec_win_to_host_fast::<8>(v, m, base_bits, host, chunk),
+    }
+}
+
+#[inline(always)]
+fn vec_win_to_host_fast<const N: usize>(
+    v: &VecOp,
+    m: u32,
+    base_bits: u64,
+    host: &mut [Value],
+    chunk: Option<&Chunk>,
+) {
+    for i in 0..m {
+        let Some(slot) = host.get_mut(v.index(base_bits, i) as usize) else {
+            continue;
+        };
+        let off = (v.idx0 + i) as usize * N;
+        let w = match chunk {
+            Some(c) if off + N <= c.data.len() => be_load::<N>(&c.data, off),
+            _ => 0,
+        };
+        // `Value::new` is exactly `Chunk::get` (bool included); the cast
+        // is the identity when the slot already has the chunk's type.
+        let w = Value::new(v.wty, w);
+        *slot = if slot.ty() == v.wty {
+            w
+        } else {
+            w.cast(slot.ty())
+        };
+    }
+}
+
 /// Reusable execution scratch: the per-run state the tree interpreter
 /// allocates fresh on every call. Steady-state reuse performs no heap
 /// allocation (the register file retains its capacity; the spare
@@ -729,7 +798,8 @@ impl CompiledKernel {
     /// Number of fused element-wise runs (`VecAccum`/`VecRegToWin`/
     /// `VecWinToReg`) in the program — the ops the ncvec tier can
     /// accelerate. Zero means the SIMD tier degenerates to the plain
-    /// micro-op fast path for this kernel.
+    /// micro-op fast path for this kernel. Window→host-memory runs are
+    /// fused too but not counted: ncvec does not take them.
     pub fn vec_runs(&self) -> usize {
         self.ops
             .iter()
@@ -1102,7 +1172,7 @@ impl CompiledKernel {
                 }
                 Op::VecAccum(v) => {
                     let (m, exhausted) = self.vec_iters(v, &mut steps);
-                    let base_bits = regs[v.base as usize].bits();
+                    let base_bits = v.base_bits(regs, window.seq);
                     vec_accum(
                         v,
                         m,
@@ -1117,7 +1187,7 @@ impl CompiledKernel {
                 }
                 Op::VecRegToWin(v) => {
                     let (m, exhausted) = self.vec_iters(v, &mut steps);
-                    let base_bits = regs[v.base as usize].bits();
+                    let base_bits = v.base_bits(regs, window.seq);
                     vec_reg_to_win(
                         v,
                         m,
@@ -1132,7 +1202,7 @@ impl CompiledKernel {
                 }
                 Op::VecWinToReg(v) => {
                     let (m, exhausted) = self.vec_iters(v, &mut steps);
-                    let base_bits = regs[v.base as usize].bits();
+                    let base_bits = v.base_bits(regs, window.seq);
                     vec_win_to_reg(
                         v,
                         m,
@@ -1141,6 +1211,16 @@ impl CompiledKernel {
                         window.chunks.get(v.param as usize),
                         self.simd,
                     );
+                    if exhausted {
+                        return Err(InterpError::StepLimit);
+                    }
+                }
+                Op::VecWinToHost(v) => {
+                    let (m, exhausted) = self.vec_iters(v, &mut steps);
+                    let base_bits = v.base_bits(regs, window.seq);
+                    if let Some(a) = host.arrays.get_mut(v.arr as usize) {
+                        vec_win_to_host(v, m, base_bits, a, window.chunks.get(v.param as usize));
+                    }
                     if exhausted {
                         return Err(InterpError::StepLimit);
                     }
@@ -1380,7 +1460,7 @@ fn lower_opnd(o: &Operand) -> Opnd {
 fn op_cost(op: &Op) -> usize {
     match op {
         Op::CmpBr { .. } => 2,
-        Op::VecAccum(v) | Op::VecRegToWin(v) | Op::VecWinToReg(v) => {
+        Op::VecAccum(v) | Op::VecRegToWin(v) | Op::VecWinToReg(v) | Op::VecWinToHost(v) => {
             (v.head_cost + (v.n - 1) * v.cost) as usize
         }
         _ => 1,
@@ -1461,7 +1541,11 @@ fn op_regs_mut(op: &mut Op, f: &mut impl FnMut(&mut u32)) {
             o(key, f);
         }
         Op::Br { cond, .. } => o(cond, f),
-        Op::VecAccum(v) | Op::VecRegToWin(v) | Op::VecWinToReg(v) => f(&mut v.base),
+        Op::VecAccum(v) | Op::VecRegToWin(v) | Op::VecWinToReg(v) | Op::VecWinToHost(v) => {
+            if let Base::Reg(r) = &mut v.base {
+                f(r)
+            }
+        }
         Op::NotPlaced { .. }
         | Op::FwdPass
         | Op::FwdPassTo { .. }
@@ -1521,7 +1605,11 @@ fn op_reads(op: &Op, f: &mut impl FnMut(u32)) {
             f(*val);
         }
         Op::Br { cond, .. } => o(cond),
-        Op::VecAccum(v) | Op::VecRegToWin(v) | Op::VecWinToReg(v) => f(v.base),
+        Op::VecAccum(v) | Op::VecRegToWin(v) | Op::VecWinToReg(v) | Op::VecWinToHost(v) => {
+            if let Base::Reg(r) = v.base {
+                f(r)
+            }
+        }
         Op::LdWinC { .. }
         | Op::LdSeq { .. }
         | Op::LdSender { .. }
@@ -1554,10 +1642,11 @@ enum VecKind {
     Accum,
     RegToWin,
     WinToReg,
+    WinToHost,
 }
 
 /// One matched unrolled group: the micro-ops for a single element of an
-/// `arr[base+c] (op)= win[c]` body.
+/// `arr[base+c] (op)= win[c]` or `host[base+c] = win[c]` body.
 struct Group {
     len: usize,
     kind: VecKind,
@@ -1565,12 +1654,14 @@ struct Group {
     headed: bool,
     /// Chunk element index.
     cc: u32,
-    base: u32,
+    base: Base,
     /// Index-add type (meaningful when `headed`).
     ity: ScalarType,
     param: u32,
     wty: ScalarType,
+    /// Register array, or host parameter (`WinToHost`).
     arr: u32,
+    /// Register slot mask (unused by `WinToHost`).
     amask: u32,
     /// Accumulate type (`Accum` only).
     aty: ScalarType,
@@ -1582,9 +1673,12 @@ struct Group {
 }
 
 /// Matches one unrolled group at the head of `ops`. The shapes are the
-/// three orders the lowering pipeline actually produces; anything else
-/// simply stays scalar.
+/// orders the lowering pipeline actually produces; anything else simply
+/// stays scalar.
 fn match_group(ops: &[Op]) -> Option<Group> {
+    if let Some(g) = match_host_group(ops) {
+        return Some(g);
+    }
     // Optional leading index add: `k = base + c` at an integer type.
     let head = match ops.first()? {
         Op::Add {
@@ -1647,7 +1741,7 @@ fn match_group(ops: &[Op]) -> Option<Group> {
                                 kind: VecKind::Accum,
                                 headed: head.is_some(),
                                 cc,
-                                base,
+                                base: Base::Reg(base),
                                 ity,
                                 param,
                                 wty,
@@ -1686,7 +1780,7 @@ fn match_group(ops: &[Op]) -> Option<Group> {
                         kind: VecKind::RegToWin,
                         headed: head.is_some(),
                         cc,
-                        base,
+                        base: Base::Reg(base),
                         ity,
                         param,
                         wty,
@@ -1752,7 +1846,7 @@ fn match_group(ops: &[Op]) -> Option<Group> {
                     kind: VecKind::WinToReg,
                     headed: head.is_some(),
                     cc,
-                    base,
+                    base: Base::Reg(base),
                     ity,
                     param,
                     wty,
@@ -1769,6 +1863,114 @@ fn match_group(ops: &[Op]) -> Option<Group> {
     } else {
         None
     }
+}
+
+/// Window → host-memory groups (`_in_` kernels), in the two index forms
+/// the lowering produces: each group recomputing its base
+/// (`LdSeq; Mul k0 = seq * C; [Add k = k0 + c]; LdWinC; StHost`, Fig. 4's
+/// `hdata[window.seq * window.len + i] = data[i]`), or indexing off a base
+/// register (`[Add k = base + c]; LdWinC; StHost`).
+fn match_host_group(ops: &[Op]) -> Option<Group> {
+    match *ops.first()? {
+        Op::LdSeq { dst: s } => match *ops.get(1)? {
+            Op::Mul {
+                dst: k0,
+                ty,
+                a: Opnd::Reg(a),
+                b: Opnd::Const(c),
+            } if a == s && ty != ScalarType::Bool => {
+                let base = Base::Seq {
+                    scale: c.bits(),
+                    mask: ty.mask(),
+                };
+                match_host_tail(ops, 2, k0, base, Some(s))
+            }
+            _ => None,
+        },
+        Op::Add {
+            a: Opnd::Reg(b), ..
+        } => match_host_tail(ops, 0, b, Base::Reg(b), None),
+        Op::LdWinC { .. } => match *ops.get(1)? {
+            Op::StHost {
+                index: Opnd::Reg(b),
+                ..
+            } => match_host_tail(ops, 0, b, Base::Reg(b), None),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The `[Add k = k0 + c]; LdWinC; StHost` tail of a window → host group
+/// at `ops[at..]`. `seq` is the `LdSeq` destination of the recomputed
+/// form, whose `k0` (the Mul result) is elided with it; otherwise `k0` is
+/// the base register and must survive the run.
+fn match_host_tail(ops: &[Op], at: usize, k0: u32, base: Base, seq: Option<u32>) -> Option<Group> {
+    let head = match *ops.get(at)? {
+        Op::Add {
+            dst,
+            ty,
+            a: Opnd::Reg(a),
+            b: Opnd::Const(c),
+        } if a == k0 && ty != ScalarType::Bool => Some((dst, ty, c.bits())),
+        _ => None,
+    };
+    let at = at + head.is_some() as usize;
+    let (
+        &Op::LdWinC {
+            dst: w,
+            param,
+            ty: wty,
+            idx: cc,
+            ..
+        },
+        &Op::StHost {
+            param: hparam,
+            index: Opnd::Reg(ix),
+            val: Opnd::Reg(v),
+        },
+    ) = (ops.get(at)?, ops.get(at + 1)?)
+    else {
+        return None;
+    };
+    let (k, ity) = match head {
+        Some((k, ity, off)) if off == cc as u64 => (k, ity),
+        Some(_) => return None,
+        None => (k0, ScalarType::U32),
+    };
+    let mut elided = [w; 4];
+    let mut nelided = 1;
+    for r in [head.map(|h| h.0), seq, seq.map(|_| k0)]
+        .into_iter()
+        .flatten()
+    {
+        elided[nelided] = r;
+        nelided += 1;
+    }
+    let regs = &elided[..nelided];
+    let distinct = regs
+        .iter()
+        .enumerate()
+        .all(|(i, a)| !regs[i + 1..].contains(a) && (seq.is_some() || *a != k0));
+    if ix != k || v != w || !distinct {
+        return None;
+    }
+    Some(Group {
+        len: at + 2,
+        kind: VecKind::WinToHost,
+        headed: head.is_some(),
+        cc,
+        base,
+        ity,
+        param,
+        wty,
+        arr: hparam,
+        amask: 0,
+        aty: wty,
+        sty: wty,
+        elided,
+        nelided,
+    })
 }
 
 /// Intermediate registers must be pairwise distinct and distinct from
@@ -1799,11 +2001,12 @@ fn fuse_element_runs(block_ops: &mut [Vec<Op>], nregs: usize) {
         }
     }
 
+    let mut run_reads = vec![(0u32, 0u32); nregs];
     for block in block_ops.iter_mut() {
         let mut out: Vec<Op> = Vec::with_capacity(block.len());
         let mut i = 0;
         while i < block.len() {
-            match try_fuse_run(&block[i..], &global_reads) {
+            match try_fuse_run(&block[i..], &global_reads, &mut run_reads) {
                 Some((op, len)) => {
                     out.push(op);
                     i += len;
@@ -1819,58 +2022,78 @@ fn fuse_element_runs(block_ops: &mut [Vec<Op>], nregs: usize) {
 }
 
 /// Attempts to fuse a run starting at `ops[0]`; returns the vector op
-/// and how many scalar ops it replaces.
-fn try_fuse_run(ops: &[Op], global_reads: &[u32]) -> Option<(Op, usize)> {
-    let first = match_group(ops)?;
-    let mut groups = vec![first];
-    loop {
+/// and how many scalar ops it replaces. Linear in the run's length.
+/// `run_reads` is per-register scratch, all zero on entry and on return.
+fn try_fuse_run(
+    ops: &[Op],
+    global_reads: &[u32],
+    run_reads: &mut [(u32, u32)],
+) -> Option<(Op, usize)> {
+    let mut groups = vec![match_group(ops)?];
+    let mut len = groups[0].len;
+    while let Some(g) = match_group(&ops[len..]) {
         let prev = groups.last().expect("non-empty");
-        let at: usize = groups.iter().map(|g| g.len).sum();
-        match match_group(&ops[at..]) {
-            Some(g)
-                if g.headed
-                    && g.kind == prev.kind
-                    && g.cc == prev.cc + 1
-                    && g.base == prev.base
-                    && g.param == prev.param
-                    && g.wty == prev.wty
-                    && g.arr == prev.arr
-                    && g.amask == prev.amask
-                    && g.aty == prev.aty
-                    && g.sty == prev.sty
-                    && (!prev.headed || g.ity == prev.ity) =>
-            {
-                groups.push(g)
-            }
-            _ => break,
+        let chains = g.headed
+            && g.kind == prev.kind
+            && g.cc == prev.cc + 1
+            && g.base == prev.base
+            && g.param == prev.param
+            && g.wty == prev.wty
+            && g.arr == prev.arr
+            && g.amask == prev.amask
+            && g.aty == prev.aty
+            && g.sty == prev.sty
+            && (!prev.headed || g.ity == prev.ity);
+        if !chains {
+            break;
         }
+        len += g.len;
+        groups.push(g);
     }
     if groups.len() < 2 {
         return None;
     }
 
-    // Trim the run until every elided register is read only inside it.
-    loop {
-        if groups.len() < 2 {
-            return None;
+    // Keep the longest prefix of groups whose elided registers are read
+    // only inside it. A register's reads inside the run are complete from
+    // some group on (or never), so one pass finds, per register, the
+    // shortest prefix holding all its reads (`run_reads[r]`: reads seen,
+    // and that prefix's group count); a prefix is valid when it holds
+    // those of every register its groups elide.
+    let mut at = 0;
+    for (gi, g) in groups.iter().enumerate() {
+        for op in &ops[at..at + g.len] {
+            op_reads(op, &mut |r| {
+                let e = &mut run_reads[r as usize];
+                e.0 += 1;
+                if e.0 == global_reads[r as usize] {
+                    e.1 = gi as u32 + 1;
+                }
+            });
         }
-        let len: usize = groups.iter().map(|g| g.len).sum();
-        let mut region_reads = std::collections::HashMap::new();
-        for op in &ops[..len] {
-            op_reads(op, &mut |r| *region_reads.entry(r).or_insert(0u32) += 1);
-        }
-        let live_outside = groups.iter().any(|g| {
-            g.elided[..g.nelided]
-                .iter()
-                .any(|&r| global_reads[r as usize] != region_reads.get(&r).copied().unwrap_or(0))
-        });
-        if !live_outside {
-            break;
-        }
-        // The common offender is the final group's destination feeding a
-        // later use; dropping tail groups converges quickly.
-        groups.pop();
+        at += g.len;
     }
+    let (mut need, mut keep) = (0u32, 0usize);
+    for (gi, g) in groups.iter().enumerate() {
+        for &r in &g.elided[..g.nelided] {
+            let (seen, complete) = run_reads[r as usize];
+            need = need.max(if seen == global_reads[r as usize] {
+                complete
+            } else {
+                u32::MAX
+            });
+        }
+        if need as usize <= gi + 1 {
+            keep = gi + 1;
+        }
+    }
+    for op in &ops[..at] {
+        op_reads(op, &mut |r| run_reads[r as usize] = (0, 0));
+    }
+    if keep < 2 {
+        return None;
+    }
+    groups.truncate(keep);
 
     let first = &groups[0];
     let ity = if first.headed {
@@ -1884,9 +2107,10 @@ fn try_fuse_run(ops: &[Op], global_reads: &[u32]) -> Option<(Op, usize)> {
     } else {
         (1u64 << width) - 1
     };
-    let cost = match first.kind {
-        VecKind::Accum => 5u32,
-        VecKind::RegToWin | VecKind::WinToReg => 3,
+    // Interpreter steps per headed group.
+    let cost = match (first.kind, first.base) {
+        (VecKind::Accum, _) | (VecKind::WinToHost, Base::Seq { .. }) => 5u32,
+        (VecKind::RegToWin | VecKind::WinToReg | VecKind::WinToHost, _) => 3,
     };
     let v = Box::new(VecOp {
         param: first.param,
@@ -1907,6 +2131,7 @@ fn try_fuse_run(ops: &[Op], global_reads: &[u32]) -> Option<(Op, usize)> {
         VecKind::Accum => Op::VecAccum(v),
         VecKind::RegToWin => Op::VecRegToWin(v),
         VecKind::WinToReg => Op::VecWinToReg(v),
+        VecKind::WinToHost => Op::VecWinToHost(v),
     };
     Some((op, len))
 }
@@ -2649,6 +2874,139 @@ _net_ _in_ void recv(int *data, _ext_ int *hdata, _ext_ bool *done) {
         assert_eq!(hi.arrays, hf.arrays);
         assert_eq!(hf.arrays[0][4], Value::i32(9));
         assert_eq!(hf.arrays[1][0], Value::bool(true));
+    }
+
+    /// The `result` kernel of `ncl_core::apps::allreduce_source` (Fig. 4)
+    /// at window 256, and its register-base twin, lowered and optimized
+    /// the way `nclc` does.
+    fn host_copy_kernel(register_base: bool) -> KernelIr {
+        let body = if register_base {
+            "unsigned base = window.seq * window.len;\n\
+             for (unsigned i = 0; i < window.len; ++i) hdata[base + i] = data[i];"
+        } else {
+            "for (unsigned i = 0; i < window.len; ++i)\n\
+                 hdata[window.seq * window.len + i] = data[i];"
+        };
+        let src = format!(
+            "_net_ _out_ void k(int *data) {{ _drop(); }}\n\
+             _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {{\n\
+                 {body}\n\
+                 if (window.last) *done = true;\n\
+             }}"
+        );
+        let checked = frontend(&src, "t.ncl").expect("frontend");
+        let mut cfg = LoweringConfig::with_mask("result", vec![256]);
+        cfg.masks.insert("k".into(), vec![256]);
+        let mut m = lower(&checked, &cfg).expect("lower");
+        crate::passes::optimize(&mut m);
+        m.kernel("result").unwrap().clone()
+    }
+
+    /// Structural guard (no wall clock): the 256-element window → host
+    /// copy fuses into one run in both index forms, keeps the unfused
+    /// program's interpreter step count, and stays out of ncvec's count.
+    #[test]
+    fn host_copy_fuses_to_one_run() {
+        for register_base in [false, true] {
+            let k = host_copy_kernel(register_base);
+            let c = CompiledKernel::compile(&k);
+            let fused = c
+                .ops
+                .iter()
+                .filter(|op| matches!(op, Op::VecWinToHost(_)))
+                .count();
+            assert_eq!(fused, 1, "register_base {register_base}: {:?}", c.ops);
+            assert!(
+                c.len() <= 8,
+                "register_base {register_base}: {} ops",
+                c.len()
+            );
+            assert_eq!(c.vec_runs(), 0);
+            if !register_base {
+                assert_eq!(c.interp_steps(), 1284);
+            }
+            let sizes = [(ScalarType::I32, 1024), (ScalarType::Bool, 1)];
+            let (mut hi, mut hf) = (HostMemory::new(&sizes), HostMemory::new(&sizes));
+            let mut w = window_u32(&(0..256).map(|i| i * 7 + 1).collect::<Vec<_>>());
+            w.seq = 2;
+            w.last = true;
+            let mut wf = w.clone();
+            Interpreter::default()
+                .run_incoming(&k, &mut w, &mut hi)
+                .unwrap();
+            c.run_incoming(&mut wf, &mut hf, &mut ExecScratch::new())
+                .unwrap();
+            assert_eq!(hi.arrays, hf.arrays);
+            assert_eq!(hf.arrays[0][512 + 255], Value::i32(255 * 7 + 1));
+        }
+    }
+
+    /// Fusion still declines groups whose elided registers are read after
+    /// the run: a later read of the last group's chunk value keeps that
+    /// group scalar, and one of the first group's Mul result keeps the
+    /// first group scalar.
+    #[test]
+    fn host_copy_fusion_declines_on_later_reads() {
+        let group = |g: u32| {
+            let r = 4 * g;
+            let mut ops = vec![
+                Op::LdSeq { dst: r },
+                Op::Mul {
+                    dst: r + 1,
+                    ty: ScalarType::U32,
+                    a: Opnd::Reg(r),
+                    b: Opnd::Const(Value::u32(4)),
+                },
+            ];
+            if g > 0 {
+                ops.push(Op::Add {
+                    dst: r + 2,
+                    ty: ScalarType::U32,
+                    a: Opnd::Reg(r + 1),
+                    b: Opnd::Const(Value::u32(g)),
+                });
+            }
+            ops.push(Op::LdWinC {
+                dst: r + 3,
+                param: 0,
+                ty: ScalarType::I32,
+                idx: g,
+                end: 4 * (g + 1),
+            });
+            ops.push(Op::StHost {
+                param: 0,
+                index: Opnd::Reg(if g > 0 { r + 2 } else { r + 1 }),
+                val: Opnd::Reg(r + 3),
+            });
+            ops
+        };
+        let fuse = |later_read: u32| {
+            let mut ops: Vec<Op> = (0..4).flat_map(group).collect();
+            ops.push(Op::StHost {
+                param: 1,
+                index: Opnd::Const(Value::u32(0)),
+                val: Opnd::Reg(later_read),
+            });
+            ops.push(Op::Ret);
+            let mut blocks = vec![ops];
+            fuse_element_runs(&mut blocks, 16);
+            blocks.pop().unwrap()
+        };
+        // Reads of the last group's value: groups 0..=2 fuse, group 3 stays.
+        let ops = fuse(4 * 3 + 3);
+        match &ops[0] {
+            Op::VecWinToHost(v) => assert_eq!((v.n, v.head_cost, v.cost), (3, 4, 5)),
+            op => panic!("expected a fused run, got {op:?}"),
+        }
+        assert_eq!(ops.len(), 1 + 5 + 2);
+        // Reads of the first group's index: that group stays scalar and
+        // the rest fuse as a headed run.
+        let ops = fuse(1);
+        match &ops[4] {
+            Op::VecWinToHost(v) => assert_eq!((v.n, v.head_cost, v.idx0), (3, 5, 1)),
+            op => panic!("expected a fused run, got {op:?}"),
+        }
+        assert_eq!(ops.len(), 4 + 1 + 2);
     }
 
     #[test]

@@ -519,7 +519,7 @@ mod tests {
             n,
             arr: 0,
             amask,
-            base: 0,
+            base: crate::exec::Base::Reg(0),
             imask,
             aty: ScalarType::I32,
             sty: ScalarType::I32,

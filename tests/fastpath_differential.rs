@@ -246,6 +246,117 @@ proptest! {
     }
 }
 
+/// An `_in_` kernel copying a window of `elem` into host memory, in the
+/// two index forms the fused window → host run matches: Fig. 4's
+/// recomputed `window.seq * window.len + i`, or a hoisted register base.
+fn host_copy_source(elem: &str, register_base: bool) -> String {
+    let body = if register_base {
+        "unsigned base = window.seq * window.len;\n    \
+         for (unsigned i = 0; i < window.len; ++i) hdata[base + i] = data[i];"
+    } else {
+        "for (unsigned i = 0; i < window.len; ++i)\n        \
+         hdata[window.seq * window.len + i] = data[i];"
+    };
+    format!(
+        "_net_ _out_ void k({elem} *data) {{ _drop(); }}\n\
+         _net_ _in_ void result({elem} *data, _ext_ {elem} *hdata, _ext_ bool *done) {{\n    \
+         {body}\n    if (window.last) *done = true;\n}}\n"
+    )
+}
+
+/// Window element types the host-copy differential draws from, with
+/// their NCL spelling.
+const HOST_COPY_ELEMS: [(&str, ScalarType); 5] = [
+    ("int", ScalarType::I32),
+    ("uint8_t", ScalarType::U8),
+    ("uint16_t", ScalarType::U16),
+    ("uint64_t", ScalarType::U64),
+    ("bool", ScalarType::Bool),
+];
+
+/// Host array element types: the window's own type and the casts
+/// `StHost` applies when they differ.
+const HOST_COPY_HOST_TYS: [ScalarType; 4] = [
+    ScalarType::I32,
+    ScalarType::I64,
+    ScalarType::U8,
+    ScalarType::Bool,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Interpreter ≡ scalar fast path ≡ SIMD tier on `_in_` window →
+    /// host-memory copies: window widths {2, 7, 8, 64, 256}, sequence
+    /// numbers up to `u32::MAX` (the index wraps at the Mul's `U32`
+    /// type: stores past the host array drop, and a `seq * len` just
+    /// past 2^32 wraps back into it), short and missing chunks, host
+    /// arrays of another element type (the cast path), and both index
+    /// forms.
+    #[test]
+    fn fastpath_matches_interpreter_on_host_copies(
+        win_len in prop::sample::select(vec![2usize, 7, 8, 64, 256]),
+        seq in prop_oneof![0..8u32, any::<u32>(), (u32::MAX - 8)..=u32::MAX],
+        wrap in any::<bool>(),
+        elem in 0..HOST_COPY_ELEMS.len(),
+        host_ty in prop::sample::select(HOST_COPY_HOST_TYS.to_vec()),
+        host_len in prop_oneof![Just(1024usize), 0..600usize],
+        register_base in any::<bool>(),
+        chunk in prop_oneof![Just(None), (0..1000usize).prop_map(Some), Just(Some(1000))],
+        bytes in proptest::collection::vec(any::<u8>(), 256 * 8),
+        last in any::<bool>(),
+    ) {
+        let (name, wty) = HOST_COPY_ELEMS[elem];
+        let len = win_len as u64;
+        let seq = if wrap { ((1u64 << 32).div_ceil(len) + (seq % 4) as u64) as u32 } else { seq };
+        let src = host_copy_source(name, register_base);
+        let module = lower_kernel(
+            &src,
+            &[("k", vec![win_len as u16]), ("result", vec![win_len as u16])],
+        );
+        let kir = module.kernel("result").unwrap();
+        let simd = CompiledKernel::compile(kir);
+        let scalar = CompiledKernel::compile(kir).with_simd(false);
+        prop_assert!(simd.len() <= 8, "the copy must fuse: {} ops:\n{}", simd.len(), &src);
+        let full = win_len * wty.size();
+        let chunks = match chunk {
+            None => vec![],
+            Some(permille) => vec![Chunk {
+                offset: 0,
+                data: bytes[..full * permille / 1000].to_vec(),
+            }],
+        };
+        let w = Window {
+            kernel: KernelId(2),
+            seq,
+            sender: HostId(1),
+            from: NodeId::Host(HostId(1)),
+            last,
+            chunks,
+            ext: vec![],
+        };
+        let ext = [(host_ty, host_len), (ScalarType::Bool, 1)];
+        let mut m_interp = HostMemory::new(&ext);
+        // Pre-fill so dropped stores are distinguishable from zeros.
+        for (i, v) in m_interp.arrays[0].iter_mut().enumerate() {
+            *v = Value::new(host_ty, 0x5a5a_5a5a ^ i as u64);
+        }
+        let mut m_fast = m_interp.clone();
+        let mut m_simd = m_interp.clone();
+        let mut scratch = ExecScratch::new();
+        let (mut w_i, mut w_f, mut w_v) = (w.clone(), w.clone(), w);
+        let r_i = Interpreter::default().run_incoming(kir, &mut w_i, &mut m_interp);
+        let r_f = scalar.run_incoming(&mut w_f, &mut m_fast, &mut scratch);
+        let r_v = simd.run_incoming(&mut w_v, &mut m_simd, &mut scratch);
+        prop_assert_eq!(&r_i, &r_f);
+        prop_assert_eq!(&r_i, &r_v);
+        prop_assert_eq!(&m_interp.arrays, &m_fast.arrays, "scalar host memory:\n{}", &src);
+        prop_assert_eq!(&m_interp.arrays, &m_simd.arrays, "simd host memory:\n{}", &src);
+        prop_assert_eq!(&w_i, &w_f);
+        prop_assert_eq!(&w_i, &w_v);
+    }
+}
+
 /// Differential harness for ncvec fusion edge cases: compiles the
 /// allreduce kernel at window width `win_len` and drives the three
 /// tiers (interpreter, scalar fast path, SIMD) with identical window
@@ -584,6 +695,70 @@ fn step_limit_sweep_leaves_identical_partial_effects() {
             s_interp.registers, s_simd.registers,
             "simd partial state, limit {limit}/{total}"
         );
+    }
+}
+
+/// Step-limit sweep over the AllReduce `_in_` kernel: at every budget
+/// the fused window → host-memory run stops at the same element as the
+/// interpreter, with the same `StepLimit` verdict and the same partial
+/// host memory. No benchmark workload runs a counted `_in_` kernel, so
+/// this is the only coverage of that path.
+#[test]
+fn step_limit_sweep_on_incoming_leaves_identical_host_memory() {
+    let win_len = 16usize;
+    let src = allreduce_source(win_len * 4, win_len);
+    let module = lower_kernel(
+        &src,
+        &[
+            ("allreduce", vec![win_len as u16]),
+            ("result", vec![win_len as u16]),
+        ],
+    );
+    let kir = module.kernel("result").unwrap();
+    let compiled = CompiledKernel::compile(kir);
+    let total = compiled.interp_steps();
+    assert!(
+        compiled.len() * 4 < total,
+        "the copy must fuse for the sweep to cross it: {} ops for {total} steps",
+        compiled.len()
+    );
+    let w0 = Window {
+        kernel: KernelId(2),
+        seq: 2,
+        sender: HostId(1),
+        from: NodeId::Host(HostId(1)),
+        last: true,
+        chunks: vec![Chunk {
+            offset: 0,
+            data: (0..win_len as i32)
+                .flat_map(|i| (i * 11 - 40).to_be_bytes())
+                .collect(),
+        }],
+        ext: vec![],
+    };
+    let ext = [(ScalarType::I32, win_len * 4), (ScalarType::Bool, 1)];
+    for limit in 0..=total + 2 {
+        let it = Interpreter { step_limit: limit };
+        let kernels = [
+            ("scalar", CompiledKernel::compile(kir).with_simd(false)),
+            ("simd", CompiledKernel::compile(kir)),
+        ];
+        let mut m_interp = HostMemory::new(&ext);
+        let mut w_i = w0.clone();
+        let r_i = it.run_incoming(kir, &mut w_i, &mut m_interp);
+        assert_eq!(r_i.is_ok(), limit >= total, "limit {limit}/{total}");
+        for (tier, k) in kernels {
+            let k = k.with_step_limit(limit);
+            let mut m = HostMemory::new(&ext);
+            let mut w = w0.clone();
+            let r = k.run_incoming(&mut w, &mut m, &mut ExecScratch::new());
+            assert_eq!(r_i, r, "{tier} verdict, limit {limit}/{total}");
+            assert_eq!(
+                m_interp.arrays, m.arrays,
+                "{tier} partial host memory, limit {limit}/{total}"
+            );
+            assert_eq!(w_i, w, "{tier} window, limit {limit}/{total}");
+        }
     }
 }
 
